@@ -1,14 +1,15 @@
 //! Ablation benchmarks over the design choices DESIGN.md calls out:
 //! locking policy (multi-version vs conservative 2PL), sequencer buffer
 //! share (the §5.3 mitigation), announcement batching, uniform delivery,
-//! and the certification backend (linear scan vs indexed write history).
+//! the certification backend (linear scan vs indexed write history),
+//! partial replication, wire votes and re-placement under churn.
 //! Each runs a small end-to-end experiment; Criterion reports the
 //! wall-clock cost of simulating it, and the printed side-channel reports
 //! the system-level metric of interest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbsm_bench::cert_json::{merge_and_write, CertBenchRow};
-use dbsm_core::{run_experiment, AnnBatchPolicy, CertBackendKind, CommitPath, ExperimentConfig};
+use dbsm_core::{run_experiment, AnnBatchPolicy, CertBackendKind, ExperimentConfig};
 use dbsm_db::CcPolicy;
 use dbsm_fault::{FaultPlan, FaultSpec};
 use dbsm_gcs::GcsConfig;
@@ -261,146 +262,46 @@ fn bench_recovery(c: &mut Criterion) {
 }
 
 fn bench_cert_backend(c: &mut Criterion) {
-    // The certification ablation at a paper-scale operating point: 2000
-    // clients over 3 sites keep a wide conflict window open, which is where
-    // the linear scan's O(window) cost and the index's O(request) probes
-    // diverge. Decisions are bit-identical across backends; tpm/latency and
-    // the scan-vs-probe work ledger are the comparison.
-    let mut g = c.benchmark_group("ablation_cert_backend");
-    g.sample_size(10);
-    for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
-        g.bench_function(format!("clients_2000_{}", kind.name()), |b| {
-            b.iter(|| {
-                let cfg =
-                    ExperimentConfig::replicated(3, 2000).with_target(600).with_cert_backend(kind);
-                let m = run_experiment(cfg);
-                black_box((
-                    m.tpm(),
-                    m.mean_latency_ms(),
-                    m.cert_work.mean_comparisons(),
-                    m.cert_work.mean_probes(),
-                ))
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_cert_sharding(c: &mut Criterion) {
-    // The post-PR-2 question: once the conflict check is indexed, the
-    // serial certifier is the remaining wall — where does throughput
-    // saturate when certification itself goes N-way parallel? The sweep
-    // crosses every backend (linear scan, indexed, sharded at 2/4/8/16
-    // home-warehouse shards) with client counts from the paper's 2000 up to
-    // 10000. Decisions are bit-identical everywhere; what moves is the
-    // certification *critical path* (most-loaded shard + merge), reported
-    // per row in the summary line and persisted as machine-readable
-    // BENCH_cert.json so the perf trajectory survives across PRs.
+    // The certification ablation: the paper-faithful linear scan against
+    // the indexed write history, with client counts from the paper's 2000
+    // up to 10000. More clients keep a wider conflict window open, which is
+    // where the linear scan's O(window) cost and the index's O(request)
+    // probes diverge. Decisions are bit-identical across backends; what
+    // moves is the scan-vs-probe work ledger and the delivery-loop stall,
+    // reported per row in the summary line and persisted as
+    // machine-readable BENCH_cert.json so the perf trajectory survives
+    // across PRs.
     let rows: RefCell<Vec<CertBenchRow>> = RefCell::new(Vec::new());
     {
-        let mut g = c.benchmark_group("ablation_cert_sharding");
+        let mut g = c.benchmark_group("ablation_cert_backend");
         g.sample_size(10);
-        let backends: Vec<(String, CertBackendKind, usize)> = [
-            ("linear".to_string(), CertBackendKind::Linear, 1),
-            ("indexed".to_string(), CertBackendKind::Indexed, 1),
-        ]
-        .into_iter()
-        .chain(
-            [2usize, 4, 8, 16]
-                .into_iter()
-                .map(|n| (format!("sharded{n}"), CertBackendKind::Sharded { shards: n }, n)),
-        )
-        .collect();
         for clients in [2000usize, 5000, 10000] {
-            for (name, kind, shards) in &backends {
-                let id = format!("clients_{clients}_{name}");
+            for kind in [CertBackendKind::Linear, CertBackendKind::Indexed] {
+                let id = format!("clients_{clients}_{}", kind.name());
                 let mut recorded = false;
                 g.bench_function(&id, |b| {
                     b.iter(|| {
                         let cfg = ExperimentConfig::replicated(3, clients)
                             .with_target(600)
-                            .with_cert_backend(*kind);
+                            .with_cert_backend(kind);
                         let m = run_experiment(cfg.clone());
                         if !recorded {
                             recorded = true;
                             println!("    {}", dbsm_core::report::summary_line(&id, &m));
-                            rows.borrow_mut()
-                                .push(CertBenchRow::from_metrics(name, *shards, &cfg, &m));
+                            rows.borrow_mut().push(CertBenchRow::from_metrics(
+                                kind.name(),
+                                &cfg,
+                                &m,
+                            ));
                         }
                         black_box((
                             m.tpm(),
-                            m.cert_work.probes,
-                            m.cert_work.critical_probes,
-                            m.cert_work.mean_shards_touched(),
+                            m.mean_latency_ms(),
+                            m.cert_work.mean_comparisons(),
+                            m.cert_work.mean_probes(),
                         ))
                     })
                 });
-            }
-        }
-        g.finish();
-    }
-    // The pipeline sweep: 20k-50k clients, synchronous vs pipelined commit
-    // path at each shard count. This is where the delivery loop itself is
-    // the wall — the question is how much of the certification stall the
-    // tentative-delivery overlap actually removes, and whether the shard
-    // servers queue. One sample per point (each run is seconds of simulated
-    // load at these client counts); the system-level ledger, not the
-    // harness wall clock, is the result.
-    {
-        let mut g = c.benchmark_group("ablation_cert_pipeline");
-        g.sample_size(1);
-        g.measurement_time(Duration::from_secs(1));
-        let backends: Vec<(String, CertBackendKind, usize)> = vec![
-            ("indexed".to_string(), CertBackendKind::Indexed, 1),
-            ("sharded8".to_string(), CertBackendKind::Sharded { shards: 8 }, 8),
-            ("sharded16".to_string(), CertBackendKind::Sharded { shards: 16 }, 16),
-        ];
-        for clients in [20000usize, 50000] {
-            for path in [CommitPath::Synchronous, CommitPath::Pipelined] {
-                for (name, kind, shards) in &backends {
-                    let id = format!("clients_{clients}_{name}_{}", path.name());
-                    let mut recorded = false;
-                    g.bench_function(&id, |b| {
-                        b.iter(|| {
-                            // 600 transactions (the sharding sweep's budget)
-                            // would sample only the open-loop ramp, where
-                            // mean latency is an artifact of which clients
-                            // happen to finish first. One full population
-                            // turnover puts the window in steady state,
-                            // where the closed-loop law (latency =
-                            // clients/throughput - think time) makes the
-                            // commit path's throughput gain visible as a
-                            // latency gain.
-                            let mut cfg = ExperimentConfig::replicated(3, clients)
-                                .with_target(20_000)
-                                .with_cert_backend(*kind)
-                                .with_commit_path(path);
-                            // At these client counts tens of thousands of
-                            // requests are in flight: a request's snapshot
-                            // must not be garbage-collected before its
-                            // delivery, or certification reports (correct
-                            // but useless) truncation. Both paths get the
-                            // same window; it is part of the config hash.
-                            cfg.history_window = 1 << 17;
-                            // The paper's mid CPU configuration: on 1 CPU
-                            // these client counts sit far past the
-                            // saturation knee, where mean latency measures
-                            // backlog collapse rather than the commit
-                            // path. 3 CPUs put 20k clients near the knee
-                            // (where the delivery-loop stall matters) and
-                            // leave 50k as the overload point.
-                            cfg.cpus_per_site = 3;
-                            let m = run_experiment(cfg.clone());
-                            if !recorded {
-                                recorded = true;
-                                println!("    {}", dbsm_core::report::summary_line(&id, &m));
-                                rows.borrow_mut()
-                                    .push(CertBenchRow::from_metrics(name, *shards, &cfg, &m));
-                            }
-                            black_box((m.tpm(), m.mean_latency_ms(), m.cert_work.stall_ns))
-                        })
-                    });
-                }
             }
         }
         g.finish();
@@ -424,12 +325,12 @@ fn bench_partial_replication(c: &mut Criterion) {
     // factor from full to k buy per site? Each site then indexes only the
     // warehouses it replicates (~k/N of the rows), certifies against that
     // span, and pays a vote round only for the cross-span minority — so
-    // per-site critical-path certification work should shrink ∝ k/N while
+    // per-site certification work should shrink ∝ k/N while
     // aggregate throughput grows with the site count. The sweep crosses
     // sites {3, 6, 9, 12} with replication factor {full, 2, 3}; duplicate
     // points (rf 3 at 3 sites IS full replication) are skipped. Rows land
     // in BENCH_cert.json keyed by (sites, replication_factor) alongside
-    // the sharding sweep's rows.
+    // the backend sweep's rows.
     let rows: RefCell<Vec<CertBenchRow>> = RefCell::new(Vec::new());
     {
         let mut g = c.benchmark_group("ablation_partial_replication");
@@ -449,10 +350,10 @@ fn bench_partial_replication(c: &mut Criterion) {
                 let mut recorded = false;
                 g.bench_function(&id, |b| {
                     b.iter(|| {
-                        // Same steady-state budget, snapshot window and CPU
-                        // configuration as the pipeline sweep, so the
-                        // full-replication rows here are comparable to its
-                        // synchronous baseline.
+                        // One full population turnover puts the window in
+                        // steady state; 3 CPUs per site keep 12k clients
+                        // below the saturation knee, and the snapshot
+                        // window outlasts every in-flight request.
                         let mut cfg = ExperimentConfig::replicated(sites, clients)
                             .with_target(20_000)
                             .with_cert_backend(CertBackendKind::Indexed)
@@ -463,8 +364,7 @@ fn bench_partial_replication(c: &mut Criterion) {
                         if !recorded {
                             recorded = true;
                             println!("    {}", dbsm_core::report::summary_line(&id, &m));
-                            rows.borrow_mut()
-                                .push(CertBenchRow::from_metrics("indexed", 1, &cfg, &m));
+                            rows.borrow_mut().push(CertBenchRow::from_metrics("indexed", &cfg, &m));
                         }
                         black_box((m.tpm(), m.cert_work.span_fraction(), m.cert_work.vote_rounds))
                     })
@@ -484,13 +384,10 @@ fn bench_vote_wire(c: &mut Criterion) {
     // The decentralized-vote question: with certification verdicts
     // multicast as wire-level votes (piggybacked on outgoing data frames
     // where MTU slack allows) instead of modeled as a fixed RTT, what does
-    // the vote round actually cost — and how much of it does the pipelined
-    // path hide by pre-computing votes at tentative delivery, overlapping
-    // the vote round with the ordering round? The sweep crosses sites
-    // {3, 6, 9, 12} with replication factor {2, 3} under BOTH commit
-    // paths (rf >= sites points are full replication — no wire votes —
-    // and are skipped). Rows land in BENCH_cert.json keyed by
-    // (commit_path, sites, replication_factor), carrying the schema-v4
+    // the vote round actually cost? The sweep crosses sites {3, 6, 9, 12}
+    // with replication factor {2, 3} (rf >= sites points are full
+    // replication — no wire votes — and are skipped). Rows land in
+    // BENCH_cert.json keyed by (sites, replication_factor), carrying the
     // wire ledger: votes sent/received, piggyback rate, resends, and the
     // mean origin-side wait from delivery to quorum decision.
     let rows: RefCell<Vec<CertBenchRow>> = RefCell::new(Vec::new());
@@ -504,38 +401,33 @@ fn bench_vote_wire(c: &mut Criterion) {
                 if factor >= sites {
                     continue; // full replication: no wire votes to measure
                 }
-                for path in [CommitPath::Synchronous, CommitPath::Pipelined] {
-                    let id = format!("sites_{sites}_rf_{factor}_{}", path.name());
-                    let mut recorded = false;
-                    g.bench_function(&id, |b| {
-                        b.iter(|| {
-                            // Same steady-state budget, snapshot window and
-                            // CPU configuration as the partial-replication
-                            // sweep, so its synchronous rows are directly
-                            // comparable.
-                            let mut cfg = ExperimentConfig::replicated(sites, clients)
-                                .with_target(20_000)
-                                .with_cert_backend(CertBackendKind::Indexed)
-                                .with_replication_factor(factor)
-                                .with_commit_path(path);
-                            cfg.history_window = 1 << 17;
-                            cfg.cpus_per_site = 3;
-                            let m = run_experiment(cfg.clone());
-                            if !recorded {
-                                recorded = true;
-                                println!("    {}", dbsm_core::report::summary_line(&id, &m));
-                                rows.borrow_mut()
-                                    .push(CertBenchRow::from_metrics("indexed", 1, &cfg, &m));
-                            }
-                            black_box((
-                                m.tpm(),
-                                m.vote_wire.sent,
-                                m.vote_wire.piggyback_rate(),
-                                m.vote_wire.mean_wait_ms(),
-                            ))
-                        })
-                    });
-                }
+                let id = format!("sites_{sites}_rf_{factor}");
+                let mut recorded = false;
+                g.bench_function(&id, |b| {
+                    b.iter(|| {
+                        // Same steady-state budget, snapshot window and CPU
+                        // configuration as the partial-replication sweep, so
+                        // the two sweeps' rows are directly comparable.
+                        let mut cfg = ExperimentConfig::replicated(sites, clients)
+                            .with_target(20_000)
+                            .with_cert_backend(CertBackendKind::Indexed)
+                            .with_replication_factor(factor);
+                        cfg.history_window = 1 << 17;
+                        cfg.cpus_per_site = 3;
+                        let m = run_experiment(cfg.clone());
+                        if !recorded {
+                            recorded = true;
+                            println!("    {}", dbsm_core::report::summary_line(&id, &m));
+                            rows.borrow_mut().push(CertBenchRow::from_metrics("indexed", &cfg, &m));
+                        }
+                        black_box((
+                            m.tpm(),
+                            m.vote_wire.sent,
+                            m.vote_wire.piggyback_rate(),
+                            m.vote_wire.mean_wait_ms(),
+                        ))
+                    })
+                });
             }
         }
         g.finish();
@@ -604,8 +496,7 @@ fn bench_replacement(c: &mut Criterion) {
                         if !recorded {
                             recorded = true;
                             println!("    {}", dbsm_core::report::summary_line(&id, &m));
-                            rows.borrow_mut()
-                                .push(CertBenchRow::from_metrics(&backend, 1, &cfg, &m));
+                            rows.borrow_mut().push(CertBenchRow::from_metrics(&backend, &cfg, &m));
                         }
                         black_box((
                             m.tpm(),
@@ -635,7 +526,6 @@ criterion_group!(
     bench_fault_plans,
     bench_recovery,
     bench_cert_backend,
-    bench_cert_sharding,
     bench_partial_replication,
     bench_vote_wire,
     bench_replacement,

@@ -2,11 +2,7 @@
 //! typed schema parser (every row must carry every required key with the
 //! right type) and prints a one-line digest per sweep row. Exits non-zero
 //! on any violation, so a malformed artifact fails the pipeline at the PR
-//! that broke it instead of at the first consumer. Schema v2 through v4
-//! documents (written before the partial-replication, wire-vote and
-//! re-placement fields respectively) still pass: the parser defaults the
-//! later keys, and the digest shows `sites=0 rf=0` / `wire=0/0` /
-//! `repl=0/0` for them.
+//! that broke it instead of at the first consumer.
 //!
 //! Usage: `cert_schema_gate [path]` — defaults to the workspace artifact
 //! location (`$DBSM_BENCH_CERT_JSON` or `BENCH_cert.json` at the root).
@@ -43,7 +39,7 @@ fn main() -> ExitCode {
     for r in &doc.rows {
         println!(
             "  {:<10} shards={:<2} clients={:<6} {:<9} sites={:<2} rf={:<2} \
-             tpm={:<9.0} lat={:<7.1} stall={}us spec={}/{}/{}/{} \
+             tpm={:<9.0} lat={:<7.1} stall={}us \
              span={:.2} vote={}/{} wire={}/{} pb={:.2} wait={:.1}ms \
              repl={}/{} park={:.0}ms hash={}",
             r.backend,
@@ -55,10 +51,6 @@ fn main() -> ExitCode {
             r.tpm,
             r.mean_latency_ms,
             r.stall_ns / 1_000,
-            r.spec_hits,
-            r.spec_revalidated,
-            r.spec_rollbacks,
-            r.spec_misses,
             r.span_fraction,
             r.vote_rounds,
             r.cross_span_txns,

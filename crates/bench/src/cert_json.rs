@@ -1,12 +1,14 @@
 //! Machine-readable certification-bench results: `BENCH_cert.json`.
 //!
-//! The `ablation_cert_sharding` sweep writes one JSON document per run so
-//! the certification perf trajectory — throughput and the total vs
-//! critical-path work split per backend and client count — is tracked as an
-//! artifact across PRs instead of living only in terminal output. The
-//! workspace is offline (no serde), so this module hand-writes the small,
-//! stable schema and ships a minimal validating parser that CI and the unit
-//! tests use to guarantee the artifact stays well-formed JSON.
+//! The certification sweeps (`ablation_cert_backend`,
+//! `ablation_partial_replication`, `ablation_vote_wire`,
+//! `ablation_replacement`) write one JSON document so the certification
+//! perf trajectory — throughput and the work ledger per backend, client
+//! count and placement — is tracked as an artifact across PRs instead of
+//! living only in terminal output. The workspace is offline (no serde), so
+//! this module hand-writes the small, stable schema and ships a minimal
+//! validating parser that CI and the unit tests use to guarantee the
+//! artifact stays well-formed JSON.
 //!
 //! Schema (one object):
 //!
@@ -15,20 +17,16 @@
 //!   "group": "ablation_cert_sharding",
 //!   "rows": [
 //!     {
-//!       "backend": "sharded", "shards": 8, "clients": 10000,
-//!       "commit_path": "pipelined", "sites": 3, "replication_factor": 3,
+//!       "backend": "indexed", "shards": 1, "clients": 10000,
+//!       "commit_path": "sync", "sites": 3, "replication_factor": 3,
 //!       "tpm": 35966.0,
 //!       "mean_latency_ms": 61.8, "abort_pct": 2.1,
 //!       "certifications": 900, "comparisons": 0, "probes": 181150,
-//!       "critical_probes": 60231, "mean_shards_touched": 3.1,
-//!       "parallel_speedup": 3.0, "shard_imbalance": 1.03,
-//!       "total_work_ns": 34303500.0, "critical_path_ns": 23420700.0,
-//!       "queue_ns": 120000, "service_ns": 830000, "merge_ns": 9000,
-//!       "stall_ns": 4000, "spec_hits": 870, "spec_revalidated": 25,
-//!       "spec_rollbacks": 2, "spec_misses": 3,
+//!       "total_work_ns": 34303500.0, "stall_ns": 4000,
 //!       "span_fraction": 1.0, "vote_rounds": 0, "cross_span_txns": 0,
 //!       "votes_sent": 0, "votes_received": 0, "vote_piggyback_rate": 0,
 //!       "vote_resends": 0, "mean_vote_wait_ms": 0,
+//!       "replacements": 0, "rehomed_spans": 0, "parked_ns": 0,
 //!       "config_hash": "f2a90c4d13b7e6a1"
 //!     }
 //!   ]
@@ -36,27 +34,15 @@
 //! ```
 //!
 //! Rows are keyed by
-//! `(backend, shards, clients, commit_path, sites, replication_factor)` —
-//! schema v3 added the last two so the partial-replication sweep can put
-//! the same backend at several sites × replication-factor points, and
-//! schema v4 added the decentralized-vote wire ledger (`votes_sent`,
-//! `votes_received`, `vote_piggyback_rate`, `vote_resends`,
-//! `mean_vote_wait_ms` — all zero under full replication, where no wire
-//! votes flow), and schema v5 added the re-placement ledger
-//! (`replacements`, `rehomed_spans`, `parked_ns` — nonzero only when churn
-//! stranded a span and the survivors re-homed it). The
+//! `(backend, shards, clients, commit_path, sites, replication_factor)`;
+//! `shards` is always 1 and `commit_path` always `sync`, kept so the
+//! committed rows keep their keys and hashes. Every key is required. The
 //! `config_hash` fingerprints everything else a row's numbers depend on
 //! (schema version, sites, replication factor, CPUs per site, target
-//! transactions, history window, seed):
-//! [`merge_rows`]
-//! preserves rows a partial sweep didn't re-run, but refuses to mix rows
-//! whose hashes disagree for the same key — a silent half-updated artifact
-//! would be worse than no artifact. The parser reads schema v2 through v4
-//! documents too (the v3 fields default: `sites`/`replication_factor` 0,
-//! `span_fraction` 1.0, vote counters 0; the v4 wire-vote fields and the
-//! v5 re-placement fields default to 0), so the CI gate keeps passing on
-//! artifacts written before the bump; any old-schema row a sweep re-runs
-//! is refused by the hash check and forces a clean re-sweep.
+//! transactions, history window, seed): [`merge_rows`] preserves rows a
+//! partial sweep didn't re-run, but refuses to mix rows whose hashes
+//! disagree for the same key — a silent half-updated artifact would be
+//! worse than no artifact.
 
 use dbsm_core::{CertCostModel, ExperimentConfig, RunMetrics};
 use std::fmt::Write as _;
@@ -71,18 +57,18 @@ pub const SCHEMA_VERSION: u32 = 5;
 /// the throughput and the work-ledger split the sweep exists to track.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertBenchRow {
-    /// Backend name (`linear`, `indexed`, `sharded`).
+    /// Backend name (`linear`, `indexed`, or a `churn{n}` label).
     pub backend: String,
-    /// Keyed shard count (1 for the unsharded backends).
+    /// Shard count key column (always 1).
     pub shards: usize,
     /// Emulated clients.
     pub clients: usize,
-    /// Commit path (`sync` or `pipelined`).
+    /// Commit path key column (always `sync`).
     pub commit_path: String,
-    /// Replica sites in the run (schema v3; 0 when read from a v2 row).
+    /// Replica sites in the run.
     pub sites: usize,
     /// Replicas per warehouse: equal to `sites` under full replication,
-    /// lower under a partial placement (schema v3; 0 from a v2 row).
+    /// lower under a partial placement.
     pub replication_factor: usize,
     /// Committed transactions per minute.
     pub tpm: f64,
@@ -94,62 +80,35 @@ pub struct CertBenchRow {
     pub certifications: u64,
     /// Linear-scan merge comparisons.
     pub comparisons: u64,
-    /// Index probes, all shards.
+    /// Index probes.
     pub probes: u64,
-    /// Critical-path probes (most-loaded shard per request).
-    pub critical_probes: u64,
-    /// Mean shards touched per certification.
-    pub mean_shards_touched: f64,
-    /// Total probes / critical-path probes.
-    pub parallel_speedup: f64,
-    /// Mean fan-out / speedup (1.0 = perfectly balanced shards).
-    pub shard_imbalance: f64,
-    /// Serial certification cost of the run, nanoseconds.
+    /// Certification cost of the run, nanoseconds.
     pub total_work_ns: f64,
-    /// Critical-path certification cost of the run, nanoseconds.
-    pub critical_path_ns: f64,
-    /// Nanoseconds speculative probe work queued on shard servers.
-    pub queue_ns: u64,
-    /// Nanoseconds of critical-server probe service (pipelined runs).
-    pub service_ns: u64,
-    /// Nanoseconds merging per-shard verdicts (pipelined runs).
-    pub merge_ns: u64,
     /// Data-dependent certification nanoseconds stalling the delivery loop.
     pub stall_ns: u64,
-    /// Confirmations resolved with zero delta work.
-    pub spec_hits: u64,
-    /// Overtaken speculations upheld by the delta re-probe.
-    pub spec_revalidated: u64,
-    /// Speculative passes overturned into aborts.
-    pub spec_rollbacks: u64,
-    /// Confirmations that found no speculation.
-    pub spec_misses: u64,
     /// Fraction of examined read/write-set entries local to the certifying
-    /// site's span — 1.0 under full replication (schema v3).
+    /// site's span — 1.0 under full replication.
     pub span_fraction: f64,
-    /// Partial-replication vote rounds performed (schema v3).
+    /// Partial-replication vote rounds performed.
     pub vote_rounds: u64,
-    /// Update transactions that crossed spans and voted (schema v3).
+    /// Update transactions that crossed spans and voted.
     pub cross_span_txns: u64,
-    /// Wire-level certification votes multicast, all sites (schema v4).
+    /// Wire-level certification votes multicast, all sites.
     pub votes_sent: u64,
-    /// Wire-level votes received, all sites (schema v4).
+    /// Wire-level votes received, all sites.
     pub votes_received: u64,
     /// Fraction of sent votes that rode outgoing data frames instead of
-    /// paying their own packet (schema v4).
+    /// paying their own packet.
     pub vote_piggyback_rate: f64,
-    /// Vote retransmissions after loss (schema v4).
+    /// Vote retransmissions after loss.
     pub vote_resends: u64,
-    /// Mean origin-side wait from delivery to quorum decision, ms
-    /// (schema v4).
+    /// Mean origin-side wait from delivery to quorum decision, ms.
     pub mean_vote_wait_ms: f64,
-    /// View changes that stranded spans and triggered re-placement
-    /// (schema v5).
+    /// View changes that stranded spans and triggered re-placement.
     pub replacements: u64,
-    /// Spans re-homed onto surviving adopters (schema v5).
+    /// Spans re-homed onto surviving adopters.
     pub rehomed_spans: u64,
-    /// Total nanoseconds clients of stranded spans spent parked
-    /// (schema v5).
+    /// Total nanoseconds clients of stranded spans spent parked.
     pub parked_ns: u64,
     /// Hex fingerprint of the row's configuration (see [`config_hash`]).
     pub config_hash: String,
@@ -204,14 +163,10 @@ impl CertBenchRow {
     /// Builds a row from one experiment's metrics, pricing the work ledger
     /// with the default cost model (the one the simulation charged) and
     /// fingerprinting the configuration that produced it.
-    pub fn from_metrics(
-        backend: &str,
-        shards: usize,
-        cfg: &ExperimentConfig,
-        m: &RunMetrics,
-    ) -> Self {
+    pub fn from_metrics(backend: &str, cfg: &ExperimentConfig, m: &RunMetrics) -> Self {
         let costs = CertCostModel::default();
-        let commit_path = cfg.commit_path.name().to_string();
+        let shards = 1;
+        let commit_path = "sync".to_string();
         let replication_factor =
             cfg.placement.map_or(cfg.sites, |p| p.effective_factor().min(cfg.sites));
         let config_hash = config_hash(
@@ -239,20 +194,8 @@ impl CertBenchRow {
             certifications: m.cert_work.certifications,
             comparisons: m.cert_work.comparisons,
             probes: m.cert_work.probes,
-            critical_probes: m.cert_work.critical_probes,
-            mean_shards_touched: m.cert_work.mean_shards_touched(),
-            parallel_speedup: m.cert_work.parallel_speedup(),
-            shard_imbalance: m.cert_work.shard_imbalance(),
             total_work_ns: costs.total_work_ns(&m.cert_work),
-            critical_path_ns: costs.critical_path_ns(&m.cert_work),
-            queue_ns: m.cert_work.queue_ns,
-            service_ns: m.cert_work.service_ns,
-            merge_ns: m.cert_work.merge_ns,
             stall_ns: m.cert_work.stall_ns,
-            spec_hits: m.cert_work.spec_hits,
-            spec_revalidated: m.cert_work.spec_revalidated,
-            spec_rollbacks: m.cert_work.spec_rollbacks,
-            spec_misses: m.cert_work.spec_misses,
             span_fraction: m.cert_work.span_fraction(),
             vote_rounds: m.cert_work.vote_rounds,
             cross_span_txns: m.cert_work.cross_span_txns,
@@ -324,11 +267,7 @@ pub fn rows_to_json(group: &str, rows: &[CertBenchRow]) -> String {
             "    {{\"backend\": {}, \"shards\": {}, \"clients\": {}, \"commit_path\": {}, \
              \"sites\": {}, \"replication_factor\": {}, \
              \"tpm\": {}, \"mean_latency_ms\": {}, \"abort_pct\": {}, \"certifications\": {}, \
-             \"comparisons\": {}, \"probes\": {}, \"critical_probes\": {}, \
-             \"mean_shards_touched\": {}, \"parallel_speedup\": {}, \"shard_imbalance\": {}, \
-             \"total_work_ns\": {}, \"critical_path_ns\": {}, \"queue_ns\": {}, \
-             \"service_ns\": {}, \"merge_ns\": {}, \"stall_ns\": {}, \"spec_hits\": {}, \
-             \"spec_revalidated\": {}, \"spec_rollbacks\": {}, \"spec_misses\": {}, \
+             \"comparisons\": {}, \"probes\": {}, \"total_work_ns\": {}, \"stall_ns\": {}, \
              \"span_fraction\": {}, \"vote_rounds\": {}, \"cross_span_txns\": {}, \
              \"votes_sent\": {}, \"votes_received\": {}, \"vote_piggyback_rate\": {}, \
              \"vote_resends\": {}, \"mean_vote_wait_ms\": {}, \
@@ -346,20 +285,8 @@ pub fn rows_to_json(group: &str, rows: &[CertBenchRow]) -> String {
             r.certifications,
             r.comparisons,
             r.probes,
-            r.critical_probes,
-            json_num(r.mean_shards_touched),
-            json_num(r.parallel_speedup),
-            json_num(r.shard_imbalance),
             json_num(r.total_work_ns),
-            json_num(r.critical_path_ns),
-            r.queue_ns,
-            r.service_ns,
-            r.merge_ns,
             r.stall_ns,
-            r.spec_hits,
-            r.spec_revalidated,
-            r.spec_rollbacks,
-            r.spec_misses,
             json_num(r.span_fraction),
             r.vote_rounds,
             r.cross_span_txns,
@@ -654,30 +581,6 @@ impl Json {
         }
         Ok(n as u64)
     }
-
-    fn has_key(&self, key: &str) -> bool {
-        matches!(self, Json::Obj(entries) if entries.iter().any(|(k, _)| k == key))
-    }
-
-    /// A key a later schema added: absent (older row) falls back to
-    /// `default`, but a present key with the wrong type is still a hard
-    /// error.
-    fn uint_field_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        if self.has_key(key) {
-            self.uint_field(key)
-        } else {
-            Ok(default)
-        }
-    }
-
-    /// Like [`Json::uint_field_or`] for float-valued late-schema keys.
-    fn num_field_or(&self, key: &str, default: f64) -> Result<f64, String> {
-        if self.has_key(key) {
-            self.num_field(key)
-        } else {
-            Ok(default)
-        }
-    }
 }
 
 /// The parsed artifact: the sweep group label plus its rows.
@@ -695,39 +598,27 @@ fn row_from_json(v: &Json) -> Result<CertBenchRow, String> {
         shards: v.uint_field("shards")? as usize,
         clients: v.uint_field("clients")? as usize,
         commit_path: v.str_field("commit_path")?,
-        sites: v.uint_field_or("sites", 0)? as usize,
-        replication_factor: v.uint_field_or("replication_factor", 0)? as usize,
+        sites: v.uint_field("sites")? as usize,
+        replication_factor: v.uint_field("replication_factor")? as usize,
         tpm: v.num_field("tpm")?,
         mean_latency_ms: v.num_field("mean_latency_ms")?,
         abort_pct: v.num_field("abort_pct")?,
         certifications: v.uint_field("certifications")?,
         comparisons: v.uint_field("comparisons")?,
         probes: v.uint_field("probes")?,
-        critical_probes: v.uint_field("critical_probes")?,
-        mean_shards_touched: v.num_field("mean_shards_touched")?,
-        parallel_speedup: v.num_field("parallel_speedup")?,
-        shard_imbalance: v.num_field("shard_imbalance")?,
         total_work_ns: v.num_field("total_work_ns")?,
-        critical_path_ns: v.num_field("critical_path_ns")?,
-        queue_ns: v.uint_field("queue_ns")?,
-        service_ns: v.uint_field("service_ns")?,
-        merge_ns: v.uint_field("merge_ns")?,
         stall_ns: v.uint_field("stall_ns")?,
-        spec_hits: v.uint_field("spec_hits")?,
-        spec_revalidated: v.uint_field("spec_revalidated")?,
-        spec_rollbacks: v.uint_field("spec_rollbacks")?,
-        spec_misses: v.uint_field("spec_misses")?,
-        span_fraction: v.num_field_or("span_fraction", 1.0)?,
-        vote_rounds: v.uint_field_or("vote_rounds", 0)?,
-        cross_span_txns: v.uint_field_or("cross_span_txns", 0)?,
-        votes_sent: v.uint_field_or("votes_sent", 0)?,
-        votes_received: v.uint_field_or("votes_received", 0)?,
-        vote_piggyback_rate: v.num_field_or("vote_piggyback_rate", 0.0)?,
-        vote_resends: v.uint_field_or("vote_resends", 0)?,
-        mean_vote_wait_ms: v.num_field_or("mean_vote_wait_ms", 0.0)?,
-        replacements: v.uint_field_or("replacements", 0)?,
-        rehomed_spans: v.uint_field_or("rehomed_spans", 0)?,
-        parked_ns: v.uint_field_or("parked_ns", 0)?,
+        span_fraction: v.num_field("span_fraction")?,
+        vote_rounds: v.uint_field("vote_rounds")?,
+        cross_span_txns: v.uint_field("cross_span_txns")?,
+        votes_sent: v.uint_field("votes_sent")?,
+        votes_received: v.uint_field("votes_received")?,
+        vote_piggyback_rate: v.num_field("vote_piggyback_rate")?,
+        vote_resends: v.uint_field("vote_resends")?,
+        mean_vote_wait_ms: v.num_field("mean_vote_wait_ms")?,
+        replacements: v.uint_field("replacements")?,
+        rehomed_spans: v.uint_field("rehomed_spans")?,
+        parked_ns: v.uint_field("parked_ns")?,
         config_hash: v.str_field("config_hash")?,
     })
 }
@@ -826,10 +717,10 @@ mod tests {
 
     fn sample_row() -> CertBenchRow {
         CertBenchRow {
-            backend: "sharded".to_string(),
-            shards: 8,
+            backend: "indexed".to_string(),
+            shards: 1,
             clients: 10000,
-            commit_path: "pipelined".to_string(),
+            commit_path: "sync".to_string(),
             sites: 3,
             replication_factor: 3,
             tpm: 35966.4,
@@ -838,20 +729,8 @@ mod tests {
             certifications: 912,
             comparisons: 0,
             probes: 181150,
-            critical_probes: 60231,
-            mean_shards_touched: 3.08,
-            parallel_speedup: 3.01,
-            shard_imbalance: 1.02,
             total_work_ns: 3.43e7,
-            critical_path_ns: 2.34e7,
-            queue_ns: 120_000,
-            service_ns: 830_000,
-            merge_ns: 9_000,
             stall_ns: 4_000,
-            spec_hits: 870,
-            spec_revalidated: 25,
-            spec_rollbacks: 2,
-            spec_misses: 3,
             span_fraction: 1.0,
             vote_rounds: 0,
             cross_span_txns: 0,
@@ -863,7 +742,7 @@ mod tests {
             replacements: 1,
             rehomed_spans: 2,
             parked_ns: 2_500_000,
-            config_hash: config_hash("sharded", 8, 10000, "pipelined", 3, 3, 1, 600, 4096, 42),
+            config_hash: config_hash("indexed", 1, 10000, "sync", 3, 3, 1, 600, 4096, 42),
         }
     }
 
@@ -884,21 +763,9 @@ mod tests {
             "certifications",
             "comparisons",
             "probes",
-            "critical_probes",
-            "mean_shards_touched",
-            "parallel_speedup",
-            "shard_imbalance",
             "total_work_ns",
-            "critical_path_ns",
             "commit_path",
-            "queue_ns",
-            "service_ns",
-            "merge_ns",
             "stall_ns",
-            "spec_hits",
-            "spec_revalidated",
-            "spec_rollbacks",
-            "spec_misses",
             "sites",
             "replication_factor",
             "span_fraction",
@@ -929,7 +796,7 @@ mod tests {
     fn non_finite_metrics_degrade_to_zero_not_invalid_json() {
         let mut row = sample_row();
         row.tpm = f64::NAN;
-        row.parallel_speedup = f64::INFINITY;
+        row.total_work_ns = f64::INFINITY;
         let doc = rows_to_json("g", &[row]);
         validate_json(&doc).expect("NaN/inf must not leak into the artifact");
         assert!(doc.contains("\"tpm\": 0,"));
@@ -981,17 +848,18 @@ mod tests {
 
     #[test]
     fn row_from_metrics_prices_both_views() {
+        // The serial work ledger and the delivery-loop stall.
         use dbsm_core::{run_experiment, CertBackendKind};
         let cfg = ExperimentConfig::replicated(3, 20)
             .with_target(40)
-            .with_cert_backend(CertBackendKind::Sharded { shards: 4 });
+            .with_cert_backend(CertBackendKind::Indexed);
         let m = run_experiment(cfg.clone());
-        let row = CertBenchRow::from_metrics("sharded", 4, &cfg, &m);
-        assert!(row.probes > 0, "sharded run probes");
-        assert!(row.critical_probes > 0 && row.critical_probes <= row.probes);
-        assert!(row.critical_path_ns <= row.total_work_ns);
-        assert!(row.parallel_speedup >= 1.0);
-        assert_eq!(row.commit_path, "sync");
+        let row = CertBenchRow::from_metrics("indexed", &cfg, &m);
+        assert!(row.probes > 0, "indexed run probes");
+        let priced = row.probes as f64 * CertCostModel::default().per_probe_ns;
+        assert!((row.total_work_ns - priced).abs() < 1e-6, "probes priced at per_probe_ns");
+        assert!(row.stall_ns > 0, "the delivery loop paid for the conflict checks");
+        assert_eq!((row.shards, row.commit_path.as_str()), (1, "sync"));
         assert_eq!(row.config_hash.len(), 16);
         let doc = rows_to_json("ablation_cert_sharding", &[row]);
         validate_json(&doc).expect("well-formed from live metrics");
@@ -1001,7 +869,7 @@ mod tests {
     fn document_round_trips_through_the_typed_parser() {
         let mut other = sample_row();
         other.clients = 20000;
-        other.commit_path = "sync".to_string();
+        other.backend = "linear".to_string();
         let rows = vec![sample_row(), other];
         let doc = rows_to_json("ablation_cert_sharding", &rows);
         let parsed = parse_document(&doc).expect("typed parse");
@@ -1009,7 +877,7 @@ mod tests {
         assert_eq!(parsed.rows.len(), 2);
         assert_eq!(parsed.rows[0].key(), rows[0].key());
         assert_eq!(parsed.rows[0].config_hash, rows[0].config_hash);
-        assert_eq!(parsed.rows[1].spec_hits, 870);
+        assert_eq!(parsed.rows[1].votes_sent, 140);
         // Float fields survive the writer's 3-decimal precision.
         assert!((parsed.rows[0].tpm - rows[0].tpm).abs() < 1e-3);
     }
@@ -1023,8 +891,12 @@ mod tests {
         let doc = r#"{"group": "g", "rows": [{"backend": 7}]}"#;
         assert!(parse_document(doc).unwrap_err().contains("must be a string"));
         // Negative or fractional counters are rejected.
-        let full = rows_to_json("g", &[sample_row()]).replace("\"shards\": 8", "\"shards\": 8.5");
+        let full = rows_to_json("g", &[sample_row()]).replace("\"shards\": 1", "\"shards\": 1.5");
         assert!(parse_document(&full).unwrap_err().contains("non-negative integer"));
+        // No key is optional: a row written before the re-placement ledger
+        // existed is rejected, not defaulted.
+        let old = rows_to_json("g", &[sample_row()]).replace("\"parked_ns\": 2500000, ", "");
+        assert!(parse_document(&old).unwrap_err().contains("missing required key \"parked_ns\""));
     }
 
     #[test]
@@ -1032,8 +904,7 @@ mod tests {
         let kept = sample_row();
         let mut rerun_old = sample_row();
         rerun_old.clients = 20000;
-        rerun_old.config_hash =
-            config_hash("sharded", 8, 20000, "pipelined", 3, 3, 1, 600, 4096, 42);
+        rerun_old.config_hash = config_hash("indexed", 1, 20000, "sync", 3, 3, 1, 600, 4096, 42);
         rerun_old.tpm = 1.0;
         let mut rerun_new = rerun_old.clone();
         rerun_new.tpm = 99.0;
@@ -1050,11 +921,11 @@ mod tests {
         let mut fresh = sample_row();
         // Same (backend, shards, clients, commit_path) key, but the sweep
         // was run against a different seed → different fingerprint.
-        fresh.config_hash = config_hash("sharded", 8, 10000, "pipelined", 3, 3, 1, 600, 4096, 43);
+        fresh.config_hash = config_hash("indexed", 1, 10000, "sync", 3, 3, 1, 600, 4096, 43);
         let err = merge_rows(&[old], &[fresh]).unwrap_err();
         assert!(err.contains("config hash mismatch"), "{err}");
         assert!(err.contains("clients=10000"), "{err}");
-        // The full v3 key is named so the offending row is findable.
+        // The full key is named so the offending row is findable.
         assert!(err.contains("sites=3"), "{err}");
         assert!(err.contains("replication_factor=3"), "{err}");
     }
@@ -1069,106 +940,5 @@ mod tests {
         assert_eq!(a, config_hash("ab", 1, 1, "c", 1, 1, 1, 1, 1, 1));
         // The replication factor is part of the fingerprint.
         assert_ne!(a, config_hash("ab", 1, 1, "c", 1, 2, 1, 1, 1, 1));
-    }
-
-    #[test]
-    fn typed_parser_accepts_schema_v2_rows_with_defaults() {
-        // A schema-v2 row: none of the v3 keys (sites, replication_factor,
-        // span_fraction, vote_rounds, cross_span_txns) nor the v4
-        // wire-vote keys are present.
-        let doc = r#"{"group": "g", "rows": [
-            {"backend": "sharded", "shards": 8, "clients": 10000,
-             "commit_path": "pipelined", "tpm": 35966.4,
-             "mean_latency_ms": 61.75, "abort_pct": 2.13,
-             "certifications": 912, "comparisons": 0, "probes": 181150,
-             "critical_probes": 60231, "mean_shards_touched": 3.08,
-             "parallel_speedup": 3.01, "shard_imbalance": 1.02,
-             "total_work_ns": 34300000, "critical_path_ns": 23400000,
-             "queue_ns": 120000, "service_ns": 830000, "merge_ns": 9000,
-             "stall_ns": 4000, "spec_hits": 870, "spec_revalidated": 25,
-             "spec_rollbacks": 2, "spec_misses": 3,
-             "config_hash": "deadbeefdeadbeef"}
-        ]}"#;
-        let parsed = parse_document(doc).expect("v2 rows stay readable");
-        let row = &parsed.rows[0];
-        assert_eq!(row.sites, 0);
-        assert_eq!(row.replication_factor, 0);
-        assert_eq!(row.span_fraction, 1.0);
-        assert_eq!(row.vote_rounds, 0);
-        assert_eq!(row.cross_span_txns, 0);
-        assert_eq!(row.votes_sent, 0);
-        assert_eq!(row.votes_received, 0);
-        assert_eq!(row.vote_piggyback_rate, 0.0);
-        assert_eq!(row.vote_resends, 0);
-        assert_eq!(row.mean_vote_wait_ms, 0.0);
-        // A v3 key present with the wrong type is still a hard error.
-        let bad = doc.replace("\"spec_misses\": 3,", "\"spec_misses\": 3, \"sites\": \"three\",");
-        assert!(parse_document(&bad).unwrap_err().contains("must be a number"));
-    }
-
-    #[test]
-    fn typed_parser_accepts_schema_v3_rows_with_defaults() {
-        // A schema-v3 row carries the partial-replication fields but none
-        // of the v4 wire-vote keys: those default to zero.
-        let doc = r#"{"group": "g", "rows": [
-            {"backend": "indexed", "shards": 1, "clients": 12000,
-             "commit_path": "sync", "sites": 6, "replication_factor": 2,
-             "tpm": 20000.0, "mean_latency_ms": 40.0, "abort_pct": 1.5,
-             "certifications": 900, "comparisons": 0, "probes": 8000,
-             "critical_probes": 8000, "mean_shards_touched": 0.0,
-             "parallel_speedup": 1.0, "shard_imbalance": 1.0,
-             "total_work_ns": 100000, "critical_path_ns": 100000,
-             "queue_ns": 0, "service_ns": 0, "merge_ns": 0,
-             "stall_ns": 5000, "spec_hits": 0, "spec_revalidated": 0,
-             "spec_rollbacks": 0, "spec_misses": 0,
-             "span_fraction": 0.4, "vote_rounds": 120, "cross_span_txns": 80,
-             "config_hash": "deadbeefdeadbeef"}
-        ]}"#;
-        let parsed = parse_document(doc).expect("v3 rows stay readable");
-        let row = &parsed.rows[0];
-        assert_eq!((row.sites, row.replication_factor), (6, 2));
-        assert_eq!(row.vote_rounds, 120);
-        assert_eq!(row.votes_sent, 0);
-        assert_eq!(row.votes_received, 0);
-        assert_eq!(row.vote_piggyback_rate, 0.0);
-        assert_eq!(row.vote_resends, 0);
-        assert_eq!(row.mean_vote_wait_ms, 0.0);
-        // A v4 key present with the wrong type is still a hard error.
-        let bad =
-            doc.replace("\"vote_rounds\": 120,", "\"vote_rounds\": 120, \"votes_sent\": \"many\",");
-        assert!(parse_document(&bad).unwrap_err().contains("must be a number"));
-    }
-
-    #[test]
-    fn typed_parser_accepts_schema_v4_rows_with_defaults() {
-        // A schema-v4 row carries the wire-vote ledger but none of the v5
-        // re-placement keys: those default to zero.
-        let doc = r#"{"group": "g", "rows": [
-            {"backend": "indexed", "shards": 1, "clients": 12000,
-             "commit_path": "sync", "sites": 6, "replication_factor": 2,
-             "tpm": 20000.0, "mean_latency_ms": 40.0, "abort_pct": 1.5,
-             "certifications": 900, "comparisons": 0, "probes": 8000,
-             "critical_probes": 8000, "mean_shards_touched": 0.0,
-             "parallel_speedup": 1.0, "shard_imbalance": 1.0,
-             "total_work_ns": 100000, "critical_path_ns": 100000,
-             "queue_ns": 0, "service_ns": 0, "merge_ns": 0,
-             "stall_ns": 5000, "spec_hits": 0, "spec_revalidated": 0,
-             "spec_rollbacks": 0, "spec_misses": 0,
-             "span_fraction": 0.4, "vote_rounds": 120, "cross_span_txns": 80,
-             "votes_sent": 700, "votes_received": 3400,
-             "vote_piggyback_rate": 0.55, "vote_resends": 12,
-             "mean_vote_wait_ms": 0.8,
-             "config_hash": "deadbeefdeadbeef"}
-        ]}"#;
-        let parsed = parse_document(doc).expect("v4 rows stay readable");
-        let row = &parsed.rows[0];
-        assert_eq!(row.votes_sent, 700);
-        assert_eq!(row.replacements, 0);
-        assert_eq!(row.rehomed_spans, 0);
-        assert_eq!(row.parked_ns, 0);
-        // A v5 key present with the wrong type is still a hard error.
-        let bad =
-            doc.replace("\"votes_sent\": 700,", "\"votes_sent\": 700, \"rehomed_spans\": \"two\",");
-        assert!(parse_document(&bad).unwrap_err().contains("must be a number"));
     }
 }

@@ -18,8 +18,8 @@
 //! | `table1_aborts` | Table 1: abort rates per class and configuration |
 //! | `table2_fault_aborts` | Table 2: abort rates under loss faults |
 //!
-//! The `ablation_cert_sharding` bench group additionally writes its results
-//! as a machine-readable `BENCH_cert.json` artifact — see [`cert_json`].
+//! The certification ablation groups additionally write their results as
+//! a machine-readable `BENCH_cert.json` artifact — see [`cert_json`].
 
 use dbsm_core::{run_experiment, ExperimentConfig, RunMetrics};
 

@@ -42,12 +42,8 @@ impl Outcome {
 /// to charge CPU proportionally to the real algorithm's cost.
 ///
 /// The linear backend reports `history_scanned`/`comparisons`; the indexed
-/// backend reports `probes`; the sharded backend additionally splits its
-/// probes into a *critical path* (`critical_probes`, the most-loaded shard)
-/// and the fan-out (`shards_touched`). A cost model prices each dimension
-/// separately so every backend is charged honestly for what it actually
-/// executes — and a sharded certification is charged for its slowest shard
-/// plus a per-shard merge term, not for the sum of all shards.
+/// backend reports `probes`. A cost model prices each dimension separately
+/// so every backend is charged honestly for what it actually executes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CertWork {
     /// Committed transactions examined (linear backend).
@@ -56,15 +52,8 @@ pub struct CertWork {
     /// (linear backend).
     pub comparisons: usize,
     /// Index lookups — hash probes and interval-list binary searches —
-    /// performed, summed over all shards (indexed and sharded backends).
+    /// performed (indexed backend).
     pub probes: usize,
-    /// Probes performed by the most-loaded shard this request touched — the
-    /// critical path of an N-way parallel certification (sharded backend;
-    /// zero for the single-threaded backends).
-    pub critical_probes: usize,
-    /// Number of distinct shards the request's read-set probed (sharded
-    /// backend; zero for the single-threaded backends).
-    pub shards_touched: usize,
 }
 
 /// Error: the certifier's history no longer covers the request's snapshot.

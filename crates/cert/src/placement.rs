@@ -1,47 +1,16 @@
-//! The index-placement abstraction behind the unified and sharded
+//! The index-placement abstraction behind the indexed and span-restricted
 //! certifiers, and the generic history certifier written once over it.
 //!
 //! [`IndexedCertifier`](crate::IndexedCertifier) and
-//! [`ShardedCertifier`](crate::ShardedCertifier) differ only in *where* a
-//! committed write lands in the probe index and *which* index servers a read
-//! probes — the history window, sequence numbering, garbage collection and
-//! the speculative certify/confirm pipeline are identical. [`IndexPlacement`]
-//! captures exactly the varying part; [`HistoryCertifier`] supplies the
-//! invariant scaffolding once, so the optimistic pipeline below lands in a
-//! single place instead of being duplicated per backend.
-//!
-//! # Speculative certification
-//!
-//! The pipelined commit path overlaps certification with the total-order
-//! broadcast: when a request is *tentatively* delivered (content received,
-//! global sequence not yet known), [`HistoryCertifier::speculate`] probes the
-//! index against the history seen so far and remembers the answer together
-//! with its `basis` — the last committed sequence number covered by the
-//! probe. When the global sequence arrives, [`HistoryCertifier::confirm`]
-//! turns the speculation into the *bit-identical* synchronous outcome:
-//!
-//! * a speculative **conflict** is final — later commits only append higher
-//!   sequence numbers, so the speculative hit is still the linear scan's
-//!   first (lowest) hit ([`SpecResolution::Hit`]);
-//! * a speculative **pass** with an unchanged basis commits with no further
-//!   probing ([`SpecResolution::Hit`]);
-//! * a speculative **pass** overtaken by later commits re-probes only the
-//!   delta window `(basis, last_committed]`
-//!   ([`SpecResolution::Revalidated`], or [`SpecResolution::Rollback`] when
-//!   the delta overturns the speculative commit);
-//! * a request with no speculation on file falls back to a full synchronous
-//!   certification ([`SpecResolution::Miss`]).
-//!
-//! Soundness leans on two invariants: commits append strictly increasing
-//! sequence numbers (so nothing below the basis appears later), and garbage
-//! collection only evicts history at or below the low-water mark, which
-//! [`HistoryCertifier::confirm`] checks against `start_seq` before trusting
-//! any speculation.
+//! [`SpanCertifier`](crate::SpanCertifier) differ only in *which* committed
+//! writes land in the probe index and *which* read-set entries are probed —
+//! the history window, sequence numbering and garbage collection are
+//! identical. [`IndexPlacement`] captures exactly the varying part;
+//! [`HistoryCertifier`] supplies the invariant scaffolding once.
 
 use crate::certifier::{CertWork, HistoryTruncated, Outcome};
 use crate::request::CertRequest;
 use crate::rwset::RwSet;
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 
 /// Per-table slice of the write-history index.
@@ -84,69 +53,19 @@ pub(crate) fn evict_front(seqs: &mut VecDeque<u64>, seq: u64) {
     }
 }
 
-/// Reusable per-request probe accounting: a probe counter per index server
-/// plus the list of servers touched, reset after every request instead of
-/// reallocated — the certification hot path performs no per-request
-/// allocations.
-#[derive(Debug, Clone, Default)]
-pub struct ShardLoads {
-    /// Probe count per server for the request in flight.
-    probes: Vec<usize>,
-    /// Servers with a non-zero counter, so resetting is O(touched).
-    touched: Vec<usize>,
-}
-
-impl ShardLoads {
-    /// Creates accounting sized for `servers` index servers.
-    pub fn new(servers: usize) -> Self {
-        ShardLoads { probes: vec![0; servers], touched: Vec::with_capacity(servers) }
-    }
-
-    /// Adds `n` probes to `server`'s counter for the request in flight.
-    pub fn bump(&mut self, server: usize, n: usize) {
-        if self.probes[server] == 0 {
-            self.touched.push(server);
-        }
-        self.probes[server] += n;
-    }
-
-    /// The `(server, probes)` pairs accumulated so far, in touch order.
-    pub fn snapshot(&self) -> Vec<(usize, usize)> {
-        self.touched.iter().map(|&s| (s, self.probes[s])).collect()
-    }
-
-    /// Folds the counters into a [`CertWork`] and resets for the next
-    /// request.
-    pub fn drain(&mut self) -> CertWork {
-        let mut work = CertWork::default();
-        for &s in &self.touched {
-            work.probes += self.probes[s];
-            work.critical_probes = work.critical_probes.max(self.probes[s]);
-            self.probes[s] = 0;
-        }
-        work.shards_touched = self.touched.len();
-        self.touched.clear();
-        work
-    }
-}
-
-/// Where committed writes are indexed and which index servers a read-set
-/// probes — the only part that differs between the unified and sharded
-/// certifiers. [`HistoryCertifier`] supplies everything else.
+/// Where committed writes are indexed and which read-set entries are
+/// probed — the only part that differs between the unified and
+/// span-restricted certifiers. [`HistoryCertifier`] supplies everything
+/// else.
 ///
-/// Implementations must be deterministic: the placement may move entries
-/// between servers freely, but the conflict answer returned by
-/// [`IndexPlacement::probe`] must equal the linear scan's first hit for
-/// every placement.
+/// Implementations must be deterministic: for the tuples a placement
+/// indexes, the conflict answer returned by [`IndexPlacement::probe`] must
+/// equal the linear scan's first hit.
 pub trait IndexPlacement {
-    /// Number of parallel index servers probes are spread over (1 for the
-    /// unified index; keyed shards plus the spill shard when sharded).
-    fn servers(&self) -> usize;
-
     /// Probes for the lowest sequence number strictly above `start_seq`
-    /// whose indexed write-set intersects `read_set`, bumping `loads` once
-    /// per index probe on the server that performs it.
-    fn probe(&self, read_set: &RwSet, start_seq: u64, loads: &mut ShardLoads) -> Option<u64>;
+    /// whose indexed write-set intersects `read_set`, adding one to
+    /// `probes` per index lookup performed.
+    fn probe(&self, read_set: &RwSet, start_seq: u64, probes: &mut usize) -> Option<u64>;
 
     /// Indexes a committed write-set under `seq` (sequence numbers arrive
     /// strictly increasing).
@@ -157,56 +76,14 @@ pub trait IndexPlacement {
     fn unindex_writes(&mut self, seq: u64, writes: &RwSet);
 }
 
-/// A speculative certification answer produced at tentative-delivery time.
-#[derive(Debug, Clone, Copy)]
-struct Speculation {
-    /// The request snapshot the probe ran against.
-    start_seq: u64,
-    /// `last_committed` at probe time: everything at or below it was
-    /// covered by the speculative probe.
-    basis: u64,
-    /// The speculative conflict, if one was found.
-    conflict: Option<u64>,
-}
-
-/// Probe accounting returned by [`HistoryCertifier::speculate`]: the work
-/// performed plus the per-server load split a queueing simulation feeds to
-/// its shard servers.
-#[derive(Debug, Clone, Default)]
-pub struct SpecProbe {
-    /// Probe accounting for the speculative pass.
-    pub work: CertWork,
-    /// `(server, probes)` pairs: how many index probes each placement
-    /// server absorbed for this request.
-    pub loads: Vec<(usize, usize)>,
-}
-
-/// How [`HistoryCertifier::confirm`] resolved a request against its
-/// speculation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecResolution {
-    /// The speculative answer was final: a speculative conflict, or a
-    /// speculative pass whose basis still equals `last_committed` — zero
-    /// delta work on the critical path.
-    Hit,
-    /// The speculative pass was overtaken by later commits; the delta
-    /// window re-probe upheld the commit.
-    Revalidated,
-    /// The delta re-probe overturned a speculative pass into an abort —
-    /// the optimistic work is rolled back.
-    Rollback,
-    /// No speculation was on file; a full synchronous certification ran.
-    Miss,
-}
-
 /// The certification scaffolding shared by every indexed backend: the
-/// committed-history window, total-order sequence numbering, garbage
-/// collection, and the speculative certify/confirm pipeline — generic over
-/// the [`IndexPlacement`] that decides where writes are indexed.
+/// committed-history window, total-order sequence numbering and garbage
+/// collection — generic over the [`IndexPlacement`] that decides where
+/// writes are indexed.
 ///
 /// Use through its concrete aliases
 /// [`IndexedCertifier`](crate::IndexedCertifier) and
-/// [`ShardedCertifier`](crate::ShardedCertifier).
+/// [`SpanCertifier`](crate::SpanCertifier).
 #[derive(Debug, Clone)]
 pub struct HistoryCertifier<P> {
     /// The probe index — the part that varies per backend.
@@ -218,26 +95,13 @@ pub struct HistoryCertifier<P> {
     next_seq: u64,
     /// All sequence numbers `<= low_water` have been garbage collected.
     low_water: u64,
-    /// Outstanding speculations keyed by `(site, txn)`.
-    specs: HashMap<(u16, u64), Speculation>,
-    /// Reused probe accounting (interior mutability because read-only
-    /// validation certifies through `&self`).
-    scratch: RefCell<ShardLoads>,
 }
 
 impl<P: IndexPlacement> HistoryCertifier<P> {
     /// Wraps a placement in the shared certification scaffolding; the first
     /// committed transaction receives sequence number 1.
     pub fn from_placement(place: P) -> Self {
-        let scratch = RefCell::new(ShardLoads::new(place.servers()));
-        HistoryCertifier {
-            place,
-            history: VecDeque::new(),
-            next_seq: 1,
-            low_water: 0,
-            specs: HashMap::new(),
-            scratch,
-        }
+        HistoryCertifier { place, history: VecDeque::new(), next_seq: 1, low_water: 0 }
     }
 
     /// Rebuilds the retained history on top of a *different* placement.
@@ -246,20 +110,16 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
     /// placement: the donor holds the full history, and the rejoiner only
     /// wants the rows its spans own, so the transfer re-indexes every
     /// retained write-set through `place` instead of shipping the donor's
-    /// index verbatim. Speculations are not carried over — they are bound to
-    /// requests in flight at the donor, which the rejoiner never saw.
+    /// index verbatim.
     pub fn reproject<Q: IndexPlacement>(&self, mut place: Q) -> HistoryCertifier<Q> {
         for (seq, writes) in &self.history {
             place.index_writes(*seq, writes);
         }
-        let scratch = RefCell::new(ShardLoads::new(place.servers()));
         HistoryCertifier {
             place,
             history: self.history.clone(),
             next_seq: self.next_seq,
             low_water: self.low_water,
-            specs: HashMap::new(),
-            scratch,
         }
     }
 
@@ -278,30 +138,12 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         self.low_water
     }
 
-    /// Number of parallel index servers the placement spreads probes over.
-    pub fn servers(&self) -> usize {
-        self.place.servers()
-    }
-
-    /// Outstanding speculations (bounded by requests in flight between
-    /// tentative and total-order delivery).
-    pub fn speculations(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Probes the placement, folding per-server accounting into one
-    /// [`CertWork`]. A single-server placement reports plain `probes` only:
-    /// critical-path and fan-out accounting are properties of parallel
-    /// placements.
+    /// Probes the placement, reporting the lookups performed as
+    /// [`CertWork::probes`].
     fn probe_conflicts(&self, read_set: &RwSet, start_seq: u64) -> (Option<u64>, CertWork) {
-        let mut scratch = self.scratch.borrow_mut();
-        let conflict = self.place.probe(read_set, start_seq, &mut scratch);
-        let mut work = scratch.drain();
-        if self.place.servers() == 1 {
-            work.critical_probes = 0;
-            work.shards_touched = 0;
-        }
-        (conflict, work)
+        let mut probes = 0;
+        let conflict = self.place.probe(read_set, start_seq, &mut probes);
+        (conflict, CertWork { probes, ..CertWork::default() })
     }
 
     /// Appends a commit: assigns the next sequence number and indexes the
@@ -378,137 +220,9 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
         }
     }
 
-    /// Speculatively certifies a *tentatively* delivered request (content
-    /// received, global order unknown) against the history seen so far,
-    /// recording the answer for [`HistoryCertifier::confirm`]. Never
-    /// mutates the index, so it is safe at any interleaving; requests whose
-    /// snapshot already fell below the low-water mark are probed but not
-    /// recorded (their confirm re-checks and reports truncation).
-    pub fn speculate(&mut self, req: &CertRequest) -> SpecProbe {
-        let (loads, work) = {
-            let mut scratch = self.scratch.borrow_mut();
-            let conflict = self.place.probe(&req.read_set, req.start_seq, &mut scratch);
-            let loads = scratch.snapshot();
-            let mut work = scratch.drain();
-            if self.place.servers() == 1 {
-                work.critical_probes = 0;
-                work.shards_touched = 0;
-            }
-            if req.start_seq >= self.low_water {
-                self.specs.insert(
-                    (req.site.0, req.txn),
-                    Speculation {
-                        start_seq: req.start_seq,
-                        basis: self.last_committed(),
-                        conflict,
-                    },
-                );
-            }
-            (loads, work)
-        };
-        SpecProbe { work, loads }
-    }
-
-    /// Resolves a request at total-order delivery time against its
-    /// speculation, producing the *bit-identical* outcome a synchronous
-    /// [`HistoryCertifier::certify`] would have — see the module
-    /// documentation for the case analysis. The returned [`CertWork`] is
-    /// only the delta work performed *here*, on the delivery critical path;
-    /// the speculative probe was already accounted by
-    /// [`HistoryCertifier::speculate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryTruncated`] if `req.start_seq` predates the garbage
-    /// collection low-water mark.
-    pub fn confirm(
-        &mut self,
-        req: &CertRequest,
-    ) -> Result<(Outcome, CertWork, SpecResolution), HistoryTruncated> {
-        if req.start_seq < self.low_water {
-            return Err(HistoryTruncated { start_seq: req.start_seq, low_water: self.low_water });
-        }
-        let Some(spec) = self.specs.remove(&(req.site.0, req.txn)) else {
-            let (outcome, work) = self.certify(req)?;
-            return Ok((outcome, work, SpecResolution::Miss));
-        };
-        debug_assert_eq!(spec.start_seq, req.start_seq, "speculation for a different snapshot");
-        if let Some(conflict_seq) = spec.conflict {
-            // Commits after the speculative probe all carry sequence numbers
-            // above its basis, hence above this conflict: the speculative
-            // hit is still the linear scan's first (lowest) hit.
-            return Ok((Outcome::Abort { conflict_seq }, CertWork::default(), SpecResolution::Hit));
-        }
-        if spec.basis == self.last_committed() {
-            // Nothing committed since the speculative pass covered the full
-            // window: commit with zero delta work.
-            let seq = self.commit(req);
-            return Ok((Outcome::Commit(seq), CertWork::default(), SpecResolution::Hit));
-        }
-        // Re-probe only the delta window (basis, last_committed]; the
-        // speculative pass already cleared (start_seq, basis].
-        let delta_start = spec.basis.max(req.start_seq);
-        let (conflict, work) = self.probe_conflicts(&req.read_set, delta_start);
-        match conflict {
-            Some(conflict_seq) => {
-                Ok((Outcome::Abort { conflict_seq }, work, SpecResolution::Rollback))
-            }
-            None => {
-                let seq = self.commit(req);
-                Ok((Outcome::Commit(seq), work, SpecResolution::Revalidated))
-            }
-        }
-    }
-
-    /// Resolves a request at total-order delivery time against its
-    /// speculation into this site's *vote* — the probe half of
-    /// [`HistoryCertifier::confirm`], with no commit. The conflict answer is
-    /// bit-identical to what [`HistoryCertifier::vote`] would return at the
-    /// same point, but a speculative hit or a quiet basis costs zero delta
-    /// probes on the delivery critical path: the pipelined partial-
-    /// replication path overlaps the span probe with the ordering round and
-    /// only pays here for the delta window. The merged decision is applied
-    /// separately via [`HistoryCertifier::apply`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryTruncated`] if `req.start_seq` predates the garbage
-    /// collection low-water mark.
-    pub fn confirm_vote(
-        &mut self,
-        req: &CertRequest,
-    ) -> Result<(Option<u64>, CertWork, SpecResolution), HistoryTruncated> {
-        if req.start_seq < self.low_water {
-            return Err(HistoryTruncated { start_seq: req.start_seq, low_water: self.low_water });
-        }
-        let Some(spec) = self.specs.remove(&(req.site.0, req.txn)) else {
-            let (conflict, work) = self.vote(req)?;
-            return Ok((conflict, work, SpecResolution::Miss));
-        };
-        debug_assert_eq!(spec.start_seq, req.start_seq, "speculation for a different snapshot");
-        if let Some(conflict_seq) = spec.conflict {
-            // Later commits only append higher sequence numbers: the
-            // speculative hit is still the lowest one.
-            return Ok((Some(conflict_seq), CertWork::default(), SpecResolution::Hit));
-        }
-        if spec.basis == self.last_committed() {
-            // Nothing committed since the speculative pass covered the full
-            // window: a clean vote with zero delta work.
-            return Ok((None, CertWork::default(), SpecResolution::Hit));
-        }
-        // Re-probe only the delta window (basis, last_committed].
-        let delta_start = spec.basis.max(req.start_seq);
-        let (conflict, work) = self.probe_conflicts(&req.read_set, delta_start);
-        let res =
-            if conflict.is_some() { SpecResolution::Rollback } else { SpecResolution::Revalidated };
-        Ok((conflict, work, res))
-    }
-
     /// Discards history at or below `stable_seq` (clamped to
     /// [`HistoryCertifier::last_committed`]), incrementally evicting the
-    /// retired entries from the placement and pruning speculations whose
-    /// snapshot fell below the new low-water mark (their confirm would
-    /// report truncation anyway).
+    /// retired entries from the placement.
     pub fn gc(&mut self, stable_seq: u64) {
         let stable_seq = stable_seq.min(self.last_committed());
         while let Some((seq, _)) = self.history.front() {
@@ -519,17 +233,14 @@ impl<P: IndexPlacement> HistoryCertifier<P> {
             self.place.unindex_writes(seq, &writes);
         }
         self.low_water = self.low_water.max(stable_seq);
-        let low_water = self.low_water;
-        self.specs.retain(|_, s| s.start_seq >= low_water);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certifier::LinearCertifier;
     use crate::tuple::{TableId, TupleId};
-    use crate::{IndexedCertifier, ShardedCertifier, SiteId};
+    use crate::{IndexedCertifier, SiteId};
 
     fn id(t: u16, r: u64) -> TupleId {
         TupleId::new(TableId(t), r)
@@ -558,242 +269,11 @@ mod tests {
         assert_eq!(local.last_committed(), oracle.last_committed());
         assert_eq!(local.history_len(), oracle.history_len());
         assert_eq!(local.low_water(), oracle.low_water());
-        assert_eq!(local.speculations(), 0, "donor speculations are not transferred");
         // The re-indexed placement sees the owned row's writer…
         let (v, _) = local.vote(&req(1, 3, 0, &[id(1, 2)], &[])).expect("vote");
         assert_eq!(v, Some(1), "owned span was re-indexed from the donor history");
         // …and sequencing resumes exactly where the donor left off.
         let (o, _) = local.certify(&req(1, 4, 2, &[], &[id(1, 4)])).expect("post-rejoin commit");
         assert_eq!(o, Outcome::Commit(3));
-    }
-
-    #[test]
-    fn speculative_pass_with_quiet_basis_confirms_for_free() {
-        let mut c = IndexedCertifier::new();
-        c.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("seed"); // seq 1
-        let r = req(1, 2, 1, &[id(1, 2)], &[id(1, 2)]);
-        let probe = c.speculate(&r);
-        assert!(probe.work.probes > 0, "speculation does the probe work");
-        assert_eq!(probe.loads, vec![(0, probe.work.probes)]);
-        let (o, w, res) = c.confirm(&r).expect("confirm");
-        assert_eq!(o, Outcome::Commit(2));
-        assert_eq!(res, SpecResolution::Hit);
-        assert_eq!(w, CertWork::default(), "zero delta work on the critical path");
-        assert_eq!(c.speculations(), 0, "speculation consumed");
-    }
-
-    #[test]
-    fn speculative_conflict_is_final() {
-        let mut c = IndexedCertifier::new();
-        c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("writer"); // seq 1
-        let r = req(1, 2, 0, &[id(1, 5)], &[]);
-        c.speculate(&r);
-        // A later commit (higher seq) cannot lower the first hit.
-        c.certify(&req(0, 3, 1, &[], &[id(1, 5)])).expect("later writer"); // seq 2
-        let (o, w, res) = c.confirm(&r).expect("confirm");
-        assert_eq!(o, Outcome::Abort { conflict_seq: 1 });
-        assert_eq!(res, SpecResolution::Hit);
-        assert_eq!(w, CertWork::default());
-    }
-
-    #[test]
-    fn overtaken_speculation_revalidates_through_the_delta_window() {
-        let mut c = IndexedCertifier::new();
-        c.certify(&req(0, 1, 0, &[], &[id(1, 1)])).expect("seed"); // seq 1
-        let r = req(1, 2, 1, &[id(2, 7)], &[id(2, 7)]);
-        c.speculate(&r);
-        // A non-conflicting commit lands between speculation and confirm.
-        c.certify(&req(0, 3, 1, &[], &[id(3, 9)])).expect("interloper"); // seq 2
-        let (o, w, res) = c.confirm(&r).expect("confirm");
-        assert_eq!(o, Outcome::Commit(3));
-        assert_eq!(res, SpecResolution::Revalidated);
-        assert!(w.probes > 0, "the delta window is re-probed");
-    }
-
-    #[test]
-    fn reordering_rolls_back_a_speculative_commit() {
-        let mut c = IndexedCertifier::new();
-        let r = req(1, 2, 0, &[id(1, 5)], &[id(1, 5)]);
-        c.speculate(&r); // sees an empty history: speculative commit
-                         // Total order places a conflicting writer first.
-        c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("winner"); // seq 1
-        let (o, _, res) = c.confirm(&r).expect("confirm");
-        assert_eq!(o, Outcome::Abort { conflict_seq: 1 });
-        assert_eq!(res, SpecResolution::Rollback);
-    }
-
-    #[test]
-    fn confirm_without_speculation_is_a_full_certify() {
-        let mut c = ShardedCertifier::new(4);
-        c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("writer");
-        let r = req(1, 2, 0, &[id(1, 5)], &[]);
-        let (o, w, res) = c.confirm(&r).expect("confirm");
-        assert_eq!(o, Outcome::Abort { conflict_seq: 1 });
-        assert_eq!(res, SpecResolution::Miss);
-        assert!(w.probes > 0);
-    }
-
-    #[test]
-    fn pipelined_stream_matches_synchronous_certifier() {
-        // Interleave speculate arbitrarily early, confirm in total order,
-        // with gc mixed in: outcomes match a synchronous twin bit for bit.
-        let mut sync = IndexedCertifier::new();
-        let mut pipe = ShardedCertifier::new(3);
-        let mut x = 0xd1b5_4a32_d192_ed03u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut pending: Vec<CertRequest> = Vec::new();
-        for i in 0..400u64 {
-            let reads: Vec<TupleId> =
-                (0..rng() % 5).map(|_| id((rng() % 4) as u16, rng() % 37 + 1)).collect();
-            let writes: Vec<TupleId> =
-                (0..rng() % 3).map(|_| id((rng() % 4) as u16, rng() % 37 + 1)).collect();
-            let r = req((i % 3) as u16, i, i.saturating_sub(rng() % 4), &reads, &writes);
-            pipe.speculate(&r);
-            pending.push(r);
-            // Confirm a random prefix (total order = submission order here).
-            while pending.len() > (rng() % 4) as usize {
-                let r = pending.remove(0);
-                let (a, _) = sync.certify(&r).expect("sync");
-                let (b, _, _) = pipe.confirm(&r).expect("pipe");
-                assert_eq!(a, b, "request {} diverged", r.txn);
-            }
-            if i % 83 == 0 {
-                let stable = sync.last_committed().saturating_sub(8);
-                sync.gc(stable);
-                pipe.gc(stable);
-            }
-        }
-        for r in pending {
-            let (a, _) = sync.certify(&r).expect("sync");
-            let (b, _, _) = pipe.confirm(&r).expect("pipe");
-            assert_eq!(a, b);
-        }
-        assert_eq!(sync.last_committed(), pipe.last_committed());
-        assert_eq!(sync.history_len(), pipe.history_len());
-    }
-
-    #[test]
-    fn confirm_vote_matches_plain_vote_across_resolutions() {
-        // Drive a (speculate → interleaved commits → confirm_vote) stream
-        // next to an apply-only twin that votes synchronously: the conflict
-        // answers must agree bit for bit, and the cheap resolutions must
-        // show up with zero delta work.
-        let mut sync = IndexedCertifier::new();
-        let mut pipe = IndexedCertifier::new();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        let mut rng = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut seen = [false; 4];
-        let mut pending: Vec<CertRequest> = Vec::new();
-        for i in 0..300u64 {
-            let reads: Vec<TupleId> =
-                (0..rng() % 5).map(|_| id((rng() % 3) as u16, rng() % 23 + 1)).collect();
-            let writes: Vec<TupleId> =
-                (0..rng() % 3).map(|_| id((rng() % 3) as u16, rng() % 23 + 1)).collect();
-            let r = req((i % 3) as u16, i, i.saturating_sub(rng() % 4), &reads, &writes);
-            pipe.speculate(&r);
-            pending.push(r);
-            while pending.len() > (rng() % 4) as usize {
-                let r = pending.remove(0);
-                let (a, _) = sync.vote(&r).expect("sync vote");
-                let (b, w, res) = pipe.confirm_vote(&r).expect("pipelined vote");
-                assert_eq!(a, b, "request {} diverged", r.txn);
-                let outcome = match a {
-                    Some(conflict_seq) => Outcome::Abort { conflict_seq },
-                    None => Outcome::Commit(sync.last_committed() + 1),
-                };
-                sync.apply(&r, outcome);
-                pipe.apply(&r, outcome);
-                if res == SpecResolution::Hit {
-                    assert_eq!(w, CertWork::default(), "hits are free on the critical path");
-                }
-                seen[res as usize] = true;
-            }
-        }
-        assert_eq!(sync.last_committed(), pipe.last_committed());
-        assert!(seen[SpecResolution::Hit as usize], "stream must exercise hits");
-        assert!(seen[SpecResolution::Revalidated as usize], "stream must exercise delta probes");
-        assert!(seen[SpecResolution::Rollback as usize], "stream must exercise overturns");
-    }
-
-    #[test]
-    fn confirm_vote_without_speculation_is_a_full_vote() {
-        let mut c = IndexedCertifier::new();
-        c.certify(&req(0, 1, 0, &[], &[id(1, 5)])).expect("writer"); // seq 1
-        let r = req(1, 2, 0, &[id(1, 5)], &[]);
-        let (v, w, res) = c.confirm_vote(&r).expect("vote");
-        assert_eq!(v, Some(1));
-        assert_eq!(res, SpecResolution::Miss);
-        assert!(w.probes > 0);
-        assert_eq!(c.last_committed(), 1, "confirm_vote never commits");
-    }
-
-    #[test]
-    fn confirm_vote_reports_truncation_like_confirm() {
-        let mut c = IndexedCertifier::new();
-        for i in 0..6u64 {
-            c.certify(&req(0, i, i, &[], &[id(1, i + 1)])).expect("fill");
-        }
-        let stale = req(1, 100, 1, &[id(1, 1)], &[]);
-        c.speculate(&stale);
-        c.gc(4);
-        let err = c.confirm_vote(&stale).expect_err("stale snapshot");
-        assert_eq!(err, HistoryTruncated { start_seq: 1, low_water: 4 });
-    }
-
-    #[test]
-    fn gc_prunes_speculations_below_the_low_water_mark() {
-        let mut c = IndexedCertifier::new();
-        for i in 0..8u64 {
-            c.certify(&req(0, i, i, &[], &[id(1, i + 1)])).expect("fill");
-        }
-        let stale = req(1, 100, 2, &[id(1, 1)], &[]);
-        let fresh = req(1, 101, 8, &[id(1, 1)], &[]);
-        c.speculate(&stale);
-        c.speculate(&fresh);
-        assert_eq!(c.speculations(), 2);
-        c.gc(6);
-        assert_eq!(c.speculations(), 1, "stale speculation pruned");
-        let err = c.confirm(&stale).expect_err("stale snapshot");
-        assert_eq!(err, HistoryTruncated { start_seq: 2, low_water: 6 });
-        let (o, _, res) = c.confirm(&fresh).expect("fresh");
-        assert!(o.is_commit());
-        assert_eq!(res, SpecResolution::Hit);
-    }
-
-    #[test]
-    fn linear_twin_agrees_with_speculation_under_rollback_storm() {
-        // Heavy same-row contention maximizes rollbacks; the linear
-        // certifier is the ground truth.
-        let mut lin = LinearCertifier::new();
-        let mut pipe = IndexedCertifier::new();
-        let mut reqs = Vec::new();
-        for i in 0..60u64 {
-            reqs.push(req((i % 2) as u16, i, i / 4, &[id(1, i % 3 + 1)], &[id(1, i % 3 + 1)]));
-        }
-        // Speculate everything up front (worst-case reordering), confirm in
-        // total order.
-        for r in &reqs {
-            pipe.speculate(r);
-        }
-        let mut rollbacks = 0;
-        for r in &reqs {
-            let (a, _) = lin.certify(r).expect("linear");
-            let (b, _, res) = pipe.confirm(r).expect("pipe");
-            assert_eq!(a, b, "txn {} diverged", r.txn);
-            if res == SpecResolution::Rollback {
-                rollbacks += 1;
-            }
-        }
-        assert!(rollbacks > 0, "the storm must exercise the rollback path");
     }
 }

@@ -36,10 +36,16 @@
 //! random streams, placements and gc interleavings.
 
 use crate::backend::UnifiedPlacement;
-use crate::placement::{HistoryCertifier, IndexPlacement, ShardLoads};
+use crate::placement::{HistoryCertifier, IndexPlacement};
 use crate::rwset::RwSet;
-use crate::sharded::ShardKeyFn;
 use crate::tuple::TupleId;
+
+/// Maps a tuple to its span (for the TPC-C workload: the home warehouse),
+/// or `None` for tuples replicated everywhere.
+///
+/// The function must be **pure** (same tuple, same span — every replica
+/// agrees on the placement of every tuple).
+pub type ShardKeyFn = fn(TupleId) -> Option<u64>;
 
 /// An [`IndexPlacement`] restricted to a set of owned spans: committed
 /// writes are indexed — and read-sets probed — only for tuples whose
@@ -89,12 +95,8 @@ impl SpanPlacement {
 }
 
 impl IndexPlacement for SpanPlacement {
-    fn servers(&self) -> usize {
-        1
-    }
-
-    fn probe(&self, read_set: &RwSet, start_seq: u64, loads: &mut ShardLoads) -> Option<u64> {
-        self.inner.probe_where(read_set, start_seq, loads, |id| self.is_local(id))
+    fn probe(&self, read_set: &RwSet, start_seq: u64, probes: &mut usize) -> Option<u64> {
+        self.inner.probe_where(read_set, start_seq, probes, |id| self.is_local(id))
     }
 
     fn index_writes(&mut self, seq: u64, writes: &RwSet) {

@@ -3,12 +3,12 @@
 //! communication prototypes, TPC-C clients, and the simulated network —
 //! all under the centralized simulation runtime.
 
-use crate::experiment::{CertCostModel, CommitPath, ExperimentConfig};
+use crate::experiment::{CertCostModel, ExperimentConfig};
 use crate::metrics::{RejoinRecord, RunMetrics, SiteUsage};
 use crate::placement::PlacementMap;
 use dbsm_cert::{
-    marshal, merge_votes, unmarshal, CertBackend, CertBackendKind, CertRequest, IndexedCertifier,
-    Outcome as CertOutcome, RwSet, ShardedCertifier, SiteId, SpanCertifier, SpanPlacement,
+    marshal, merge_votes, unmarshal, CertBackend, CertRequest, IndexedCertifier,
+    Outcome as CertOutcome, RwSet, SiteId, SpanCertifier, SpanPlacement,
 };
 use dbsm_db::{DbEngine, Outcome, TransactionSpec, TxnId};
 use dbsm_fault::FaultSpec;
@@ -18,7 +18,7 @@ use dbsm_net::{
     WindowedBurst,
 };
 use dbsm_sim::{
-    derive_seed, derive_seed_indexed, CpuBank, ProfilerMode, RealContext, ServerBank, Sim, SimTime,
+    derive_seed, derive_seed_indexed, CpuBank, ProfilerMode, RealContext, Sim, SimTime,
 };
 use dbsm_tpcc::{TpccConfig, TpccGen, TxnClass};
 use std::cell::RefCell;
@@ -73,13 +73,6 @@ struct SiteState {
     /// warehouses the [`PlacementMap`] assigns here. `None` (full
     /// replication) routes everything through `certifier`.
     span: Option<SpanCertifier>,
-    /// One FIFO shard server per certifier placement server: speculative
-    /// probe work queues here, so same-shard requests serialize and shard
-    /// imbalance shows up as queueing latency (pipelined commit path).
-    servers: ServerBank,
-    /// When each speculation's shard-server fan-out completes, keyed by
-    /// `(origin site, txn)` — consulted at total-order confirmation.
-    spec_ready: HashMap<(u16, u64), SimTime>,
     /// Partial replication: delivered updates awaiting a decision, in total
     /// order (empty under full replication, where delivery decides).
     fifo: VecDeque<FifoEntry>,
@@ -222,23 +215,6 @@ struct SiteHandles {
     host: HostId,
 }
 
-/// Instantiates the configured certification backend for one site. The
-/// sharded backend is keyed by the TPC-C `(table, home warehouse)` pair
-/// (rather than the generic row key) so shards align with the workload's
-/// locality axis *and* one request's per-table probe runs spread over
-/// distinct shards — the intra-request parallelism the critical-path price
-/// rewards. Tuples without a home warehouse — the shared item catalogue,
-/// the append-only history table — spill.
-fn site_backend(kind: CertBackendKind) -> Box<dyn CertBackend> {
-    match kind {
-        CertBackendKind::Sharded { shards } => Box::new(ShardedCertifier::with_key(
-            shards,
-            dbsm_tpcc::schema::table_warehouse_shard_key,
-        )),
-        other => other.new_backend(),
-    }
-}
-
 /// The assembled system under test: `sites` replicas on a simulated LAN,
 /// TPC-C clients attached round-robin, and the experiment's fault plan.
 ///
@@ -326,8 +302,7 @@ impl Cluster {
                 None
             };
             site_handles.push(SiteHandles { cpu, engine, bridge, host: *host });
-            let certifier = site_backend(cfg.cert_backend);
-            let servers = ServerBank::new(certifier.servers());
+            let certifier = cfg.cert_backend.new_backend();
             // Each site's span certifier indexes only the warehouses the
             // placement assigns it — the span key is the TPC-C home
             // warehouse, with warehouse-less tuples (the shared item
@@ -341,8 +316,6 @@ impl Cluster {
             site_states.push(SiteState {
                 certifier,
                 span,
-                servers,
-                spec_ready: HashMap::new(),
                 fifo: VecDeque::new(),
                 vote_stash: HashMap::new(),
                 skip_keys: HashSet::new(),
@@ -414,113 +387,33 @@ impl Cluster {
             let Some(bridge) = &s.bridge else { continue };
             let this = self.clone();
             bridge.set_handler(Box::new(move |ctx, upcall| match upcall {
-                Upcall::Tentative { payload, .. } => {
-                    // Pipelined commit path: certify speculatively the moment
-                    // the reliable layer completes the message, queueing the
-                    // probe work on the per-site shard servers so it overlaps
-                    // the total-order broadcast.
-                    if this.cfg.commit_path != CommitPath::Pipelined {
-                        return;
-                    }
-                    let Ok(req) = unmarshal(payload) else { return };
-                    if let Some(p) = this.partial_map() {
-                        // Partial replication speculates on the span
-                        // certifier, and only at sites that will actually
-                        // vote — the speculation is the vote's probe,
-                        // precomputed so the vote round overlaps the
-                        // ordering round.
-                        let votes = {
-                            let sh = this.shared.borrow();
-                            this.casts_vote(p, &sh.rehomed, i, &req)
-                        };
-                        if !votes {
-                            return;
-                        }
-                    }
-                    // Real code: unmarshal + dispatch of the speculative
-                    // probe — outside the certifier's serial section, so
-                    // cheaper than a synchronous certification entry.
-                    ctx.charge(this.costs.speculate_fixed);
-                    let now = ctx.now();
-                    let mut sh = this.shared.borrow_mut();
-                    let sh = &mut *sh;
-                    let st = &mut sh.sites[i];
-                    let probe = match &mut st.span {
-                        Some(span) if this.partial_map().is_some() => span.speculate(&req),
-                        _ => st.certifier.speculate(&req),
-                    };
-                    let fanout = st.servers.submit_fanout(
-                        now,
-                        probe.loads.iter().map(|&(srv, p)| (srv, this.costs.probe_service(p))),
-                    );
-                    let merge = this.costs.merge(fanout.servers);
-                    sh.metrics.cert_work.record_spec_probe(probe.work);
-                    sh.metrics.cert_work.record_queueing(fanout.queued, fanout.service, merge);
-                    st.spec_ready.insert((req.site.0, req.txn), fanout.ready_at + merge);
-                }
                 Upcall::Deliver { payload, .. } => {
                     let Ok(req) = unmarshal(payload) else { return };
                     if this.partial_map().is_some() {
-                        // Partial replication (either commit path): enqueue
-                        // on the delivery FIFO, then cast/collect wire votes
-                        // until the head decides.
+                        // Partial replication: enqueue on the delivery FIFO,
+                        // then cast/collect wire votes until the head
+                        // decides.
                         this.partial_enqueue(i, req, ctx.now());
                         this.advance_partial(i, ctx);
                         return;
                     }
-                    match this.cfg.commit_path {
-                        CommitPath::Synchronous => {
-                            // Real code: unmarshal + certify, charging its CPU
-                            // cost — the full conflict check stalls the
-                            // delivery loop.
-                            let (outcome, work) = {
-                                let mut sh = this.shared.borrow_mut();
-                                let res = sh.sites[i]
-                                    .certifier
-                                    .certify(&req)
-                                    .expect("history window exceeded");
-                                sh.metrics.cert_work.record(res.1);
-                                sh.metrics.cert_work.stall_ns +=
-                                    this.costs.certify_data(res.1).as_nanos() as u64;
-                                res
-                            };
-                            ctx.charge(this.costs.certify(work));
-                            let this2 = this.clone();
-                            // Re-enter the simulated domain at start + Δ (Fig. 1b).
-                            ctx.schedule(Duration::ZERO, move || {
-                                this2.deliver_decision(i, req, outcome);
-                            });
-                        }
-                        CommitPath::Pipelined => {
-                            // Confirm against the speculation. The certifier
-                            // mutation, commit log and gc cadence must happen
-                            // here, in the global sequence — tentative order
-                            // differs per site — while the engine-side
-                            // decision waits for the shard servers to finish
-                            // the speculative probe work.
-                            let (outcome, work, pending, ready_at) = {
-                                let mut sh = this.shared.borrow_mut();
-                                let sh = &mut *sh;
-                                let st = &mut sh.sites[i];
-                                let (outcome, work, res) =
-                                    st.certifier.confirm(&req).expect("history window exceeded");
-                                let ready_at = st.spec_ready.remove(&(req.site.0, req.txn));
-                                sh.metrics.cert_work.record(work);
-                                sh.metrics.cert_work.record_spec(res);
-                                sh.metrics.cert_work.stall_ns +=
-                                    this.costs.certify_data(work).as_nanos() as u64;
-                                let pending = this.decision_bookkeeping(sh, i, &req, outcome);
-                                (outcome, work, pending, ready_at)
-                            };
-                            ctx.charge(this.costs.confirm(work));
-                            let delay = ready_at
-                                .map_or(Duration::ZERO, |t| t.saturating_duration_since(ctx.now()));
-                            let this2 = this.clone();
-                            ctx.schedule(delay, move || {
-                                this2.apply_decision(i, req, outcome, pending);
-                            });
-                        }
-                    }
+                    // Real code: unmarshal + certify, charging its CPU cost —
+                    // the full conflict check stalls the delivery loop.
+                    let (outcome, work) = {
+                        let mut sh = this.shared.borrow_mut();
+                        let res =
+                            sh.sites[i].certifier.certify(&req).expect("history window exceeded");
+                        sh.metrics.cert_work.record(res.1);
+                        sh.metrics.cert_work.stall_ns +=
+                            this.costs.certify_data(res.1).as_nanos() as u64;
+                        res
+                    };
+                    ctx.charge(this.costs.certify(work));
+                    let this2 = this.clone();
+                    // Re-enter the simulated domain at start + Δ (Fig. 1b).
+                    ctx.schedule(Duration::ZERO, move || {
+                        this2.deliver_decision(i, req, outcome);
+                    });
                 }
                 Upcall::Vote { voter, vote } => {
                     // A wire-level certification vote (possibly our own,
@@ -828,7 +721,6 @@ impl Cluster {
             let delta_bytes = replayed * self.costs.delta_bytes_per_entry;
             st.ref_gap = packet.cut.saturating_sub(kept);
             st.certifier = packet.certifier;
-            st.servers = ServerBank::new(st.certifier.servers());
             if packet.span.is_some() {
                 st.span = packet.span;
                 // The seeded FIFO replaces the first incarnation's: the
@@ -858,9 +750,13 @@ impl Cluster {
                     }
                 }
             }
-            st.spec_ready.clear();
             st.commits_since_gc = 0;
-            let orphans: Vec<TxnId> = st.pending.drain().map(|(_, p)| p.db_txn).collect();
+            // Abort in key order, not `HashMap` order: each abort releases
+            // locks and wakes clients, so the order must be a function of
+            // the seed for same-seed runs to repeat.
+            let mut orphans: Vec<(u64, TxnId)> =
+                st.pending.drain().map(|(k, p)| (k, p.db_txn)).collect();
+            orphans.sort_unstable_by_key(|&(k, _)| k);
             sh.metrics.recovery_work.delta_bytes += delta_bytes;
             sh.metrics.recovery_work.replayed_entries += replayed;
             // The chain record goes in *now*: from this instant the site's
@@ -877,7 +773,7 @@ impl Cluster {
         };
         // Requests multicast by the first incarnation whose decision never
         // came back: abort them so their clients resume.
-        for db_txn in orphans {
+        for (_, db_txn) in orphans {
             self.sites[site].engine.resolve(db_txn, false);
         }
         let this = self.clone();
@@ -1427,7 +1323,7 @@ impl Cluster {
     }
 
     /// Enqueues a delivered update transaction on `site`'s
-    /// partial-replication FIFO (both commit paths), folding in any wire
+    /// partial-replication FIFO, folding in any wire
     /// votes that arrived ahead of the delivery. Skips transactions the
     /// site's adopted rejoin snapshot already covers.
     fn partial_enqueue(&self, site: usize, req: CertRequest, now: SimTime) {
@@ -1469,8 +1365,7 @@ impl Cluster {
         let now = ctx.now();
 
         // Phase 1: decide + pop. Collected under one borrow, applied after.
-        let mut popped: Vec<(CertRequest, CertOutcome, Option<PendingCert>, Option<SimTime>)> =
-            Vec::new();
+        let mut popped: Vec<(CertRequest, CertOutcome, Option<PendingCert>)> = Vec::new();
         {
             let mut sh = self.shared.borrow_mut();
             let sh = &mut *sh;
@@ -1525,16 +1420,12 @@ impl Cluster {
                     sh.metrics.vote_wire.wait_ns +=
                         now.saturating_duration_since(entry.delivered_at).as_nanos() as u64;
                 }
-                let ready_at = sh.sites[site].spec_ready.remove(&key);
-                popped.push((entry.req, outcome, pending, ready_at));
+                popped.push((entry.req, outcome, pending));
             }
         }
-        for (req, outcome, pending, ready_at) in popped {
-            // Pipelined deliveries wait out the speculative probe's shard
-            // servers; synchronous ones have no speculation and apply now.
-            let delay = ready_at.map_or(Duration::ZERO, |t| t.saturating_duration_since(now));
+        for (req, outcome, pending) in popped {
             let this = self.clone();
-            ctx.schedule(delay, move || this.apply_decision(site, req, outcome, pending));
+            ctx.schedule(Duration::ZERO, move || this.apply_decision(site, req, outcome, pending));
         }
 
         // Phase 2: cast votes whose turn has come. An entry votes once no
@@ -1566,20 +1457,8 @@ impl Cluster {
                 // the locally indexed warehouses — this is where partial
                 // replication shrinks per-site certification work to ~k/N.
                 let req = fifo[k].req.clone();
-                let (conflict, work) = match self.cfg.commit_path {
-                    CommitPath::Pipelined => {
-                        let (conflict, work, res) =
-                            span.confirm_vote(&req).expect("history window exceeded");
-                        sh.metrics.cert_work.record_spec(res);
-                        charge += self.costs.confirm(work);
-                        (conflict, work)
-                    }
-                    CommitPath::Synchronous => {
-                        let (conflict, work) = span.vote(&req).expect("history window exceeded");
-                        charge += self.costs.certify(work);
-                        (conflict, work)
-                    }
-                };
+                let (conflict, work) = span.vote(&req).expect("history window exceeded");
+                charge += self.costs.certify(work);
                 sh.metrics.cert_work.record(work);
                 sh.metrics.cert_work.stall_ns += self.costs.certify_data(work).as_nanos() as u64;
                 fifo[k].cast = true;
@@ -1635,8 +1514,8 @@ impl Cluster {
 
     /// The order-sensitive half of a delivery: gc cadence, pending lookup
     /// and the per-site commit log. Must run in the global sequence — the
-    /// pipelined path calls it at total-order confirmation even though the
-    /// engine-side decision may still be waiting on the shard servers.
+    /// partial-replication FIFO calls it as entries pop, before the
+    /// engine-side decision is scheduled.
     fn decision_bookkeeping(
         &self,
         sh: &mut Shared,

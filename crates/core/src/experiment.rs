@@ -8,35 +8,6 @@ use dbsm_gcs::{AnnBatchPolicy, GcsConfig};
 use std::fmt;
 use std::time::Duration;
 
-/// How a site orders certification relative to total-order delivery.
-///
-/// The synchronous path is the seed behaviour: every delivered request
-/// certifies inline, so the delivery loop stalls for the full conflict
-/// check. The pipelined path overlaps certification with the broadcast
-/// (Emerson & Ezhilchelvan's optimistic-delivery pipeline): requests
-/// certify *speculatively* on tentative (pre-total-order) delivery, queue
-/// their probe work on the per-site shard servers, and the total-order
-/// delivery merely confirms — or rolls back — the speculation. Decisions
-/// are bit-identical either way; what moves is where the latency lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitPath {
-    /// Certify inline at total-order delivery (seed behaviour).
-    #[default]
-    Synchronous,
-    /// Certify speculatively at tentative delivery; confirm in total order.
-    Pipelined,
-}
-
-impl CommitPath {
-    /// Stable lowercase name (used in bench rows and report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            CommitPath::Synchronous => "sync",
-            CommitPath::Pipelined => "pipelined",
-        }
-    }
-}
-
 /// Configuration of one experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -73,13 +44,9 @@ pub struct ExperimentConfig {
     /// collection.
     pub history_window: u64,
     /// Which certification backend every site runs: the indexed write
-    /// history (default), the paper-faithful linear scan, or the sharded
-    /// index keyed by the TPC-C home warehouse. All reach bit-identical
-    /// decisions; they differ only in certification cost.
+    /// history (default) or the paper-faithful linear scan. Both reach
+    /// bit-identical decisions; they differ only in certification cost.
     pub cert_backend: CertBackendKind,
-    /// Whether certification runs synchronously at delivery or overlapped
-    /// with the total-order broadcast (see [`CommitPath`]).
-    pub commit_path: CommitPath,
     /// Relative CPU speed (the CSRT's processor-speed scaling, §2.3);
     /// both simulated processing and real-code costs scale by it.
     pub cpu_speed: f64,
@@ -113,7 +80,6 @@ impl ExperimentConfig {
             table_lock_threshold: 256,
             history_window: 4096,
             cert_backend: CertBackendKind::Indexed,
-            commit_path: CommitPath::Synchronous,
             cpu_speed: 1.0,
             wan_latency: None,
             placement: None,
@@ -150,12 +116,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the commit path (synchronous or pipelined certification).
-    pub fn with_commit_path(mut self, path: CommitPath) -> Self {
-        self.commit_path = path;
-        self
-    }
-
     /// Sets the partial-replication placement map.
     pub fn with_placement(mut self, placement: PlacementMap) -> Self {
         self.placement = Some(placement);
@@ -188,7 +148,7 @@ impl ExperimentConfig {
     ///
     /// Plans containing a [`dbsm_fault::FaultSpec::Partition`] always run
     /// with **uniform (safe) delivery**, overriding
-    /// [`GcsConfig::uniform_delivery`]: optimistic delivery speculates on
+    /// [`GcsConfig::uniform_delivery`]: optimistic delivery acts on
     /// orderings that only a minority may have seen, and across a
     /// primary-component change the next sequencer can legitimately re-make
     /// them — a minority site that already acted on the old ordering would
@@ -206,12 +166,6 @@ impl ExperimentConfig {
         if self.faults.has_partition() || self.faults.has_restart() {
             gcs.uniform_delivery = true;
         }
-        // The pipelined commit path certifies on tentative delivery, so the
-        // stack must hand messages up as soon as the reliable layer
-        // completes them (confirmation still waits for the total order).
-        if self.commit_path == CommitPath::Pipelined {
-            gcs.tentative_delivery = true;
-        }
         gcs
     }
 
@@ -224,10 +178,7 @@ impl ExperimentConfig {
     /// becoming unroutable. A placement pinned with
     /// [`PlacementMap::with_strict_coverage`] opts back into the static
     /// pre-churn rule ([`FaultPlan::validate_coverage_strict`]): any
-    /// stranded replica set rejects the run. Both commit paths combine with
-    /// partial replication: the pipelined path precomputes each site's wire
-    /// vote at tentative delivery so the vote round overlaps the ordering
-    /// round.
+    /// stranded replica set rejects the run.
     ///
     /// # Errors
     ///
@@ -295,13 +246,6 @@ impl From<PlacementError> for ConfigError {
 /// `probes`, and each dimension carries its own per-unit cost — a hash probe
 /// plus binary search is dearer than one merge step, but the indexed backend
 /// performs O(request) of them instead of O(window).
-///
-/// The sharded backend is priced as a **critical path**: its shards probe
-/// concurrently, so a certification costs the *most-loaded* shard's probes
-/// (`CertWork::critical_probes`) plus `merge_ns` per touched shard for
-/// joining the per-shard verdicts — `max + merge`, not the serial sum. The
-/// single-threaded backends report no shard fan-out and keep their exact
-/// pre-sharding prices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CertCostModel {
     /// Fixed cost of building + marshalling a request.
@@ -313,27 +257,8 @@ pub struct CertCostModel {
     /// Cost per ordered-merge comparison step (linear backend).
     pub per_comparison_ns: f64,
     /// Cost per index probe — hash lookup plus interval binary search
-    /// (indexed and sharded backends).
+    /// (indexed backend).
     pub per_probe_ns: f64,
-    /// Cost per touched shard of merging that shard's verdict into the
-    /// request's outcome — the join step of an N-way parallel certification
-    /// (sharded backend only). A shard's verdict is one word (the earliest
-    /// conflicting sequence number it found, if any), so the merge is a
-    /// cache-line read plus a min fold: cheap relative to a hash probe, but
-    /// linear in the fan-out — the term that keeps "shard everything
-    /// row-by-row" from pricing as free parallelism.
-    pub merge_ns: f64,
-    /// Fixed cost of confirming a speculation at total-order delivery
-    /// (pipelined commit path): a hash-map lookup and a basis comparison —
-    /// much cheaper than `certify_fixed`, which covers unmarshalling and
-    /// request setup already paid at tentative delivery.
-    pub confirm_fixed: Duration,
-    /// Fixed cost of dispatching a speculative certification at tentative
-    /// delivery (pipelined commit path): unmarshal the payload and fan the
-    /// probes out to the shard servers. Cheaper than `certify_fixed`
-    /// because the speculative pass runs outside the certifier's serial
-    /// section — no total-order bookkeeping, no history mutation.
-    pub speculate_fixed: Duration,
     /// Latency of the verdict exchange for *read-only* cross-span
     /// validations under partial replication: a read-only transaction is
     /// never broadcast, so its cross-span check cannot ride the wire-vote
@@ -364,9 +289,6 @@ impl Default for CertCostModel {
             certify_fixed: Duration::from_micros(20),
             per_comparison_ns: 60.0,
             per_probe_ns: 90.0,
-            merge_ns: 25.0,
-            confirm_fixed: Duration::from_micros(2),
-            speculate_fixed: Duration::from_micros(10),
             vote_rtt: Duration::from_micros(120),
             snapshot_bytes_per_warehouse: 2 << 20,
             delta_bytes_per_entry: 768,
@@ -388,68 +310,29 @@ impl CertCostModel {
     }
 
     /// The data-dependent part of one certification that performed `work`:
-    /// the merge comparisons and index probes it actually executed —
-    /// critical-path probes plus the per-shard merge term when the work was
-    /// sharded (`shards_touched > 0`), total probes otherwise. This is the
-    /// *stall* a certification inflicts on whatever loop runs it inline.
+    /// the merge comparisons and index probes it actually executed. This is
+    /// the *stall* a certification inflicts on the delivery loop that runs
+    /// it inline.
     pub fn certify_data(&self, work: CertWork) -> Duration {
-        let probes = if work.shards_touched > 0 { work.critical_probes } else { work.probes };
         Duration::from_nanos((self.per_comparison_ns * work.comparisons as f64) as u64)
-            + Duration::from_nanos((self.per_probe_ns * probes as f64) as u64)
-            + Duration::from_nanos((self.merge_ns * work.shards_touched as f64) as u64)
+            + Duration::from_nanos((self.per_probe_ns * work.probes as f64) as u64)
     }
 
-    /// Cost of one synchronous certification that performed `work`: the
+    /// Cost of one certification that performed `work`: the
     /// fixed unmarshal/setup cost plus [`CertCostModel::certify_data`].
     pub fn certify(&self, work: CertWork) -> Duration {
         self.certify_fixed + self.certify_data(work)
     }
 
-    /// Cost of confirming a speculation at total-order delivery: the fixed
-    /// lookup plus whatever delta re-probe `work` the confirmation actually
-    /// performed (zero for a speculation hit).
-    pub fn confirm(&self, work: CertWork) -> Duration {
-        self.confirm_fixed + self.certify_data(work)
-    }
-
-    /// Service time of `probes` index probes on one shard server — the
-    /// per-server work a speculative certification enqueues.
-    pub fn probe_service(&self, probes: usize) -> Duration {
-        Duration::from_nanos((self.per_probe_ns * probes as f64) as u64)
-    }
-
-    /// Cost of joining `servers` per-shard verdicts into one outcome.
-    pub fn merge(&self, servers: usize) -> Duration {
-        Duration::from_nanos((self.merge_ns * servers as f64) as u64)
-    }
-
     /// Total conflict-check nanoseconds a run's [`CertWorkTotals`]
-    /// represent if every probe executed serially — the data-dependent work
-    /// a single-threaded certifier would have to perform. The fixed
-    /// per-request unmarshal cost is identical across backends and is
-    /// deliberately excluded: this pair of views exists to compare backends,
-    /// and a constant both sides pay would only dilute the comparison.
+    /// represent — the data-dependent work the certifier performed. The
+    /// fixed per-request unmarshal cost is identical across backends and is
+    /// deliberately excluded: this view exists to compare backends, and a
+    /// constant both sides pay would only dilute the comparison.
     ///
     /// [`CertWorkTotals`]: crate::CertWorkTotals
     pub fn total_work_ns(&self, t: &crate::CertWorkTotals) -> f64 {
-        self.per_comparison_ns * t.comparisons as f64
-            + self.per_probe_ns * t.probes as f64
-            + self.merge_ns * t.shard_touches as f64
-    }
-
-    /// Critical-path conflict-check nanoseconds of a run's
-    /// [`CertWorkTotals`]: what the certification stage actually costs when
-    /// each request's shards probe in parallel — most-loaded-shard probes
-    /// plus the merge term. Falls back to the serial total for unsharded
-    /// runs (no fan-out recorded). Same exclusion of the fixed per-request
-    /// cost as [`CertCostModel::total_work_ns`].
-    ///
-    /// [`CertWorkTotals`]: crate::CertWorkTotals
-    pub fn critical_path_ns(&self, t: &crate::CertWorkTotals) -> f64 {
-        let probes = if t.shard_touches > 0 { t.critical_probes } else { t.probes };
-        self.per_comparison_ns * t.comparisons as f64
-            + self.per_probe_ns * probes as f64
-            + self.merge_ns * t.shard_touches as f64
+        self.per_comparison_ns * t.comparisons as f64 + self.per_probe_ns * t.probes as f64
     }
 }
 
@@ -480,54 +363,6 @@ mod tests {
         // A handful of probes is far cheaper than a long scan: the honest
         // pricing that makes the indexed backend pay off under load.
         assert!(m.certify(probes(24)) < m.certify(comparisons(1000)));
-    }
-
-    #[test]
-    fn sharded_work_is_priced_by_its_critical_path() {
-        let m = CertCostModel::default();
-        // 48 probes spread over 4 shards, worst shard 16: the parallel
-        // certification pays for 16 probes + 4 merges, not for 48 probes.
-        let sharded =
-            CertWork { probes: 48, critical_probes: 16, shards_touched: 4, ..CertWork::default() };
-        let serial = CertWork { probes: 48, ..CertWork::default() };
-        let critical = CertWork { probes: 16, ..CertWork::default() };
-        assert!(m.certify(sharded) < m.certify(serial), "parallelism must pay off");
-        let merge = Duration::from_nanos((m.merge_ns * 4.0) as u64);
-        assert_eq!(m.certify(sharded), m.certify(critical) + merge);
-        // Perfectly serial sharded work (one shard) prices like the index.
-        let one_shard =
-            CertWork { probes: 16, critical_probes: 16, shards_touched: 1, ..CertWork::default() };
-        let one_merge = Duration::from_nanos(m.merge_ns as u64);
-        assert_eq!(m.certify(one_shard), m.certify(critical) + one_merge);
-    }
-
-    #[test]
-    fn run_totals_split_serial_from_critical_path_ns() {
-        use crate::CertWorkTotals;
-        let m = CertCostModel::default();
-        let mut t = CertWorkTotals::default();
-        t.record(CertWork {
-            probes: 40,
-            critical_probes: 10,
-            shards_touched: 4,
-            ..CertWork::default()
-        });
-        t.record(CertWork {
-            probes: 6,
-            critical_probes: 3,
-            shards_touched: 2,
-            ..CertWork::default()
-        });
-        let (total, critical) = (m.total_work_ns(&t), m.critical_path_ns(&t));
-        assert!(critical < total, "critical {critical} vs total {total}");
-        // The difference is exactly the probes hidden by parallelism.
-        let hidden = (40 + 6 - 10 - 3) as f64 * m.per_probe_ns;
-        assert!((total - critical - hidden).abs() < 1e-9);
-        // Unsharded totals report no split: both views agree.
-        let mut flat = CertWorkTotals::default();
-        flat.record(CertWork { probes: 25, ..CertWork::default() });
-        flat.record(CertWork { comparisons: 400, ..CertWork::default() });
-        assert_eq!(m.total_work_ns(&flat), m.critical_path_ns(&flat));
     }
 
     #[test]
@@ -609,21 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_pipelined_partial_replication() {
-        // The wire-vote machinery precomputes votes on tentative delivery,
-        // so the pipelined path and partial replication now compose.
-        let c = ExperimentConfig::replicated(6, 60)
-            .with_replication_factor(2)
-            .with_commit_path(CommitPath::Pipelined);
-        assert!(c.validate().is_ok());
-        // A full map on the pipelined path stays legal too.
-        let full = ExperimentConfig::replicated(6, 60)
-            .with_placement(PlacementMap::round_robin(6, 6))
-            .with_commit_path(CommitPath::Pipelined);
-        assert!(full.validate().is_ok());
-    }
-
-    #[test]
     fn validate_rejects_placements_stranded_by_faults() {
         use dbsm_sim::SimTime;
         // 60 clients -> 6 warehouses round-robin over 6 sites at rf=2:
@@ -664,50 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_commit_path_enables_tentative_delivery() {
-        let c = ExperimentConfig::replicated(3, 30);
-        assert_eq!(c.commit_path, CommitPath::Synchronous, "seed behaviour is synchronous");
-        assert!(!c.gcs_config().tentative_delivery);
-        let c = c.with_commit_path(CommitPath::Pipelined);
-        assert!(c.gcs_config().tentative_delivery, "pipelined runs need tentative upcalls");
-        // Even an explicitly configured GCS gets the flag.
-        let mut c = c;
-        c.gcs = Some(GcsConfig::lan(3));
-        assert!(c.gcs_config().tentative_delivery);
-        assert_eq!(CommitPath::Synchronous.name(), "sync");
-        assert_eq!(CommitPath::Pipelined.name(), "pipelined");
-    }
-
-    #[test]
-    fn confirm_prices_only_the_delta_window() {
-        let m = CertCostModel::default();
-        // A speculation hit confirms for the fixed lookup alone.
-        assert_eq!(m.confirm(CertWork::default()), m.confirm_fixed);
-        assert!(m.confirm(CertWork::default()) < m.certify(CertWork::default()));
-        // A revalidation pays the fixed lookup plus its delta probes, and
-        // the data-dependent part is identical to the synchronous price.
-        let delta = CertWork { probes: 7, ..CertWork::default() };
-        assert_eq!(m.confirm(delta), m.confirm_fixed + m.certify_data(delta));
-        assert_eq!(m.certify(delta), m.certify_fixed + m.certify_data(delta));
-        // Per-server service and merge compose the same probe pricing.
-        assert_eq!(m.probe_service(7), m.certify_data(delta));
-        assert_eq!(m.merge(4), Duration::from_nanos(100));
-        // The pipelined fixed costs must undercut the synchronous dispatch,
-        // or overlapping buys nothing: speculate skips the serial section,
-        // confirm skips the already-paid unmarshal.
-        assert!(m.speculate_fixed + m.confirm_fixed < m.certify_fixed);
-    }
-
-    #[test]
     fn backend_selector_defaults_to_indexed() {
-        // Flipped from Linear in the sharding PR, after re-validating the
-        // deterministic smoke test and paper-scale ablations under the
-        // index. The paper-faithful scan stays selectable.
+        // Flipped from Linear after re-validating the deterministic smoke
+        // test and paper-scale ablations under the index. The
+        // paper-faithful scan stays selectable.
         let c = ExperimentConfig::centralized(1, 10);
         assert_eq!(c.cert_backend, CertBackendKind::Indexed);
         let c = c.with_cert_backend(CertBackendKind::Linear);
         assert_eq!(c.cert_backend, CertBackendKind::Linear);
-        let c = c.with_cert_backend(CertBackendKind::Sharded { shards: 8 });
-        assert_eq!(c.cert_backend, CertBackendKind::Sharded { shards: 8 });
     }
 }

@@ -35,7 +35,7 @@ pub use cluster::{run_experiment, Cluster};
 pub use dbsm_cert::CertBackendKind;
 pub use dbsm_fault::{FaultPlan, FaultSpec, PlanError};
 pub use dbsm_gcs::AnnBatchPolicy;
-pub use experiment::{CertCostModel, CommitPath, ConfigError, ExperimentConfig};
+pub use experiment::{CertCostModel, ConfigError, ExperimentConfig};
 pub use metrics::{
     AnnWorkTotals, CertWorkTotals, ClassStats, FaultWorkTotals, ReplacementWorkTotals, RunMetrics,
     SiteUsage, VoteWireTotals,

@@ -54,16 +54,11 @@ impl ClassStats {
 
 /// Total certification work performed across all sites in one run — the
 /// observable that distinguishes the backends: the linear scan accumulates
-/// `history_scanned`/`comparisons`, the indexed backend accumulates
-/// `probes`, and the sharded backend splits its probes into the serial
-/// total (`probes`) and the critical path (`critical_probes`, the
-/// most-loaded shard of each request) with the shard fan-out
-/// (`shard_touches`). Decisions are identical either way; this is the cost
-/// ledger. Price the two views in nanoseconds with
-/// [`CertCostModel::total_work_ns`] and [`CertCostModel::critical_path_ns`].
+/// `history_scanned`/`comparisons` and the indexed backend accumulates
+/// `probes`. Decisions are identical either way; this is the cost ledger.
+/// Price it in nanoseconds with [`CertCostModel::total_work_ns`].
 ///
 /// [`CertCostModel::total_work_ns`]: crate::CertCostModel::total_work_ns
-/// [`CertCostModel::critical_path_ns`]: crate::CertCostModel::critical_path_ns
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CertWorkTotals {
     /// Certifications performed (update + local read-only validations).
@@ -72,41 +67,11 @@ pub struct CertWorkTotals {
     pub history_scanned: u64,
     /// Ordered-merge comparison steps by linear scans.
     pub comparisons: u64,
-    /// Index lookups by the indexed and sharded backends (all shards).
+    /// Index lookups by the indexed backend.
     pub probes: u64,
-    /// Critical-path index lookups: each request contributes its
-    /// most-loaded shard's probes (sharded backend; zero otherwise).
-    pub critical_probes: u64,
-    /// Shards touched, summed over certifications (sharded backend; zero
-    /// otherwise).
-    pub shard_touches: u64,
-    /// Nanoseconds speculative probe work spent *queued* behind earlier
-    /// requests on its critical shard server (pipelined runs; zero
-    /// otherwise) — the latency cost of shard imbalance.
-    pub queue_ns: u64,
-    /// Nanoseconds of critical-server probe *service* performed for
-    /// speculative certifications (pipelined runs; zero otherwise).
-    pub service_ns: u64,
-    /// Nanoseconds spent joining per-shard verdicts into outcomes
-    /// (pipelined runs; zero otherwise).
-    pub merge_ns: u64,
     /// Data-dependent certification nanoseconds charged inline to the
-    /// commit/delivery loop — the *stall* the pipeline exists to remove.
-    /// Synchronous runs accumulate every conflict check here; pipelined
-    /// runs only their delta revalidations and speculation misses.
+    /// delivery loop: every conflict check stalls it for this long.
     pub stall_ns: u64,
-    /// Speculations whose answer was final at confirmation — zero
-    /// delta work on the delivery loop (pipelined runs).
-    pub spec_hits: u64,
-    /// Speculative passes overtaken by later commits and upheld by the
-    /// delta re-probe (pipelined runs).
-    pub spec_revalidated: u64,
-    /// Speculative passes overturned into aborts by the delta re-probe —
-    /// the reordering-rollback path (pipelined runs).
-    pub spec_rollbacks: u64,
-    /// Confirmations that found no speculation and certified from scratch
-    /// (pipelined runs).
-    pub spec_misses: u64,
     /// Read/write-set entries that fell inside the certifying site's
     /// replicated span, summed over partial-replication certifications
     /// (zero under full replication).
@@ -128,8 +93,6 @@ impl CertWorkTotals {
         self.history_scanned += work.history_scanned as u64;
         self.comparisons += work.comparisons as u64;
         self.probes += work.probes as u64;
-        self.critical_probes += work.critical_probes as u64;
-        self.shard_touches += work.shards_touched as u64;
     }
 
     /// Accumulates one partial-replication certification's span coverage:
@@ -138,39 +101,6 @@ impl CertWorkTotals {
     pub(crate) fn record_span(&mut self, covered: u64, total: u64) {
         self.span_covered += covered;
         self.span_total += total;
-    }
-
-    /// Accumulates the probe work of a *speculative* pass without counting
-    /// a certification: the request is counted once, when it confirms.
-    pub(crate) fn record_spec_probe(&mut self, work: CertWork) {
-        self.history_scanned += work.history_scanned as u64;
-        self.comparisons += work.comparisons as u64;
-        self.probes += work.probes as u64;
-        self.critical_probes += work.critical_probes as u64;
-        self.shard_touches += work.shards_touched as u64;
-    }
-
-    /// Accumulates one speculative fan-out's latency decomposition.
-    pub(crate) fn record_queueing(
-        &mut self,
-        queued: std::time::Duration,
-        service: std::time::Duration,
-        merge: std::time::Duration,
-    ) {
-        self.queue_ns += queued.as_nanos() as u64;
-        self.service_ns += service.as_nanos() as u64;
-        self.merge_ns += merge.as_nanos() as u64;
-    }
-
-    /// Tallies how one confirmation resolved against its speculation.
-    pub(crate) fn record_spec(&mut self, res: dbsm_cert::SpecResolution) {
-        use dbsm_cert::SpecResolution::*;
-        match res {
-            Hit => self.spec_hits += 1,
-            Revalidated => self.spec_revalidated += 1,
-            Rollback => self.spec_rollbacks += 1,
-            Miss => self.spec_misses += 1,
-        }
     }
 
     /// Mean linear-scan comparisons per certification.
@@ -191,78 +121,14 @@ impl CertWorkTotals {
         }
     }
 
-    /// Mean critical-path probes per certification (sharded runs).
-    pub fn mean_critical_probes(&self) -> f64 {
-        if self.certifications == 0 {
-            0.0
-        } else {
-            self.critical_probes as f64 / self.certifications as f64
-        }
-    }
-
-    /// Mean shards touched per certification (0 for unsharded backends).
-    pub fn mean_shards_touched(&self) -> f64 {
-        if self.certifications == 0 {
-            0.0
-        } else {
-            self.shard_touches as f64 / self.certifications as f64
-        }
-    }
-
-    /// Effective parallel speedup of the probe work: total probes over
-    /// critical-path probes. 1.0 means serial (including every unsharded
-    /// run); the ceiling is the mean shard fan-out.
-    pub fn parallel_speedup(&self) -> f64 {
-        if self.critical_probes == 0 {
-            1.0
-        } else {
-            self.probes as f64 / self.critical_probes as f64
-        }
-    }
-
-    /// Per-shard load imbalance: the mean shard fan-out divided by the
-    /// achieved speedup. 1.0 means every touched shard carried equal probe
-    /// load; larger values mean skew concentrated the work (0.0 when no
-    /// sharding was recorded).
-    pub fn shard_imbalance(&self) -> f64 {
-        if self.critical_probes == 0 || self.shard_touches == 0 {
-            0.0
-        } else {
-            self.mean_shards_touched() / self.parallel_speedup()
-        }
-    }
-
-    fn mean_us(&self, ns: u64) -> f64 {
-        if self.certifications == 0 {
-            0.0
-        } else {
-            ns as f64 / 1e3 / self.certifications as f64
-        }
-    }
-
-    /// Mean microseconds per certification spent queued on the critical
-    /// shard server (0 for synchronous runs).
-    pub fn mean_queue_us(&self) -> f64 {
-        self.mean_us(self.queue_ns)
-    }
-
-    /// Mean microseconds per certification of critical-server probe
-    /// service (0 for synchronous runs).
-    pub fn mean_service_us(&self) -> f64 {
-        self.mean_us(self.service_ns)
-    }
-
-    /// Mean microseconds per certification of verdict merging (0 for
-    /// synchronous runs).
-    pub fn mean_merge_us(&self) -> f64 {
-        self.mean_us(self.merge_ns)
-    }
-
-    /// Mean microseconds per certification the commit/delivery loop stalled
-    /// on data-dependent conflict checks. The pipelined path drives this
-    /// toward zero; the synchronous path pays the full check here.
+    /// Mean microseconds per certification the delivery loop stalled on
+    /// data-dependent conflict checks.
     pub fn mean_stall_us(&self) -> f64 {
-        self.mean_us(self.stall_ns)
+        if self.certifications == 0 {
+            0.0
+        } else {
+            self.stall_ns as f64 / 1e3 / self.certifications as f64
+        }
     }
 
     /// Fraction of examined read/write-set entries that were local to the
@@ -273,21 +139,6 @@ impl CertWorkTotals {
             1.0
         } else {
             self.span_covered as f64 / self.span_total as f64
-        }
-    }
-
-    /// Confirmations resolved, any way (0 for synchronous runs).
-    pub fn spec_total(&self) -> u64 {
-        self.spec_hits + self.spec_revalidated + self.spec_rollbacks + self.spec_misses
-    }
-
-    /// Fraction of confirmations resolved with zero delta work.
-    pub fn spec_hit_rate(&self) -> f64 {
-        let total = self.spec_total();
-        if total == 0 {
-            0.0
-        } else {
-            self.spec_hits as f64 / total as f64
         }
     }
 }
@@ -767,50 +618,9 @@ mod tests {
         assert_eq!(t.probes, 8);
         assert!((t.mean_comparisons() - 6.0).abs() < 1e-12);
         assert!((t.mean_probes() - 4.0).abs() < 1e-12);
-        // Unsharded work reports serial parallelism and no imbalance.
-        assert_eq!(t.parallel_speedup(), 1.0);
-        assert_eq!(t.shard_imbalance(), 0.0);
-        assert_eq!(t.mean_shards_touched(), 0.0);
-    }
-
-    #[test]
-    fn speculative_work_counts_one_certification_per_request() {
-        use std::time::Duration;
-        let mut t = CertWorkTotals::default();
-        // Tentative pass: probes recorded, no certification counted yet.
-        t.record_spec_probe(CertWork { probes: 12, ..CertWork::default() });
-        t.record_queueing(
-            Duration::from_micros(4),
-            Duration::from_micros(2),
-            Duration::from_nanos(500),
-        );
-        assert_eq!(t.certifications, 0);
-        assert_eq!(t.probes, 12);
-        // Confirmation: the request is counted exactly once.
-        t.record(CertWork::default());
-        t.record_spec(dbsm_cert::SpecResolution::Hit);
-        assert_eq!(t.certifications, 1);
-        assert_eq!(t.spec_hits, 1);
-        assert!((t.mean_queue_us() - 4.0).abs() < 1e-12);
-        assert!((t.mean_service_us() - 2.0).abs() < 1e-12);
-        assert!((t.mean_merge_us() - 0.5).abs() < 1e-12);
-        assert_eq!(t.mean_stall_us(), 0.0, "a hit stalls the delivery loop for nothing");
-    }
-
-    #[test]
-    fn spec_resolutions_tally_and_rate() {
-        let mut t = CertWorkTotals::default();
-        use dbsm_cert::SpecResolution::*;
-        for res in [Hit, Hit, Hit, Revalidated, Rollback, Miss] {
-            t.record_spec(res);
-        }
-        assert_eq!(t.spec_total(), 6);
-        assert_eq!(
-            (t.spec_hits, t.spec_revalidated, t.spec_rollbacks, t.spec_misses),
-            (3, 1, 1, 1)
-        );
-        assert!((t.spec_hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(CertWorkTotals::default().spec_hit_rate(), 0.0);
+        assert_eq!(t.mean_stall_us(), 0.0, "nothing charged to the delivery loop yet");
+        t.stall_ns = 3_000;
+        assert!((t.mean_stall_us() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -893,33 +703,5 @@ mod tests {
         t.wait_ns = 2_000_000;
         assert!((t.mean_wait_ms() - 0.5).abs() < 1e-12);
         assert_eq!(VoteWireTotals::default().piggyback_rate(), 0.0);
-    }
-
-    #[test]
-    fn sharded_work_totals_report_speedup_and_imbalance() {
-        let mut t = CertWorkTotals::default();
-        // Request 1: 30 probes over 3 shards, worst 10 (balanced).
-        t.record(CertWork {
-            probes: 30,
-            critical_probes: 10,
-            shards_touched: 3,
-            ..CertWork::default()
-        });
-        // Request 2: 20 probes over 2 shards, worst 18 (skewed).
-        t.record(CertWork {
-            probes: 20,
-            critical_probes: 18,
-            shards_touched: 2,
-            ..CertWork::default()
-        });
-        assert_eq!(t.critical_probes, 28);
-        assert_eq!(t.shard_touches, 5);
-        assert!((t.mean_critical_probes() - 14.0).abs() < 1e-12);
-        assert!((t.mean_shards_touched() - 2.5).abs() < 1e-12);
-        let speedup = t.parallel_speedup();
-        assert!((speedup - 50.0 / 28.0).abs() < 1e-12);
-        let imbalance = t.shard_imbalance();
-        assert!(imbalance > 1.0, "skew shows up as imbalance {imbalance}");
-        assert!((imbalance - 2.5 / speedup).abs() < 1e-12);
     }
 }

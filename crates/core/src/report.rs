@@ -56,17 +56,12 @@ pub fn ecdf_lines(points: &[(f64, f64)]) -> String {
 }
 
 /// One-line run summary. The `cert=` section reads
-/// `comparisons/probes/critical-path probes` (all means per certification)
-/// and `sh=` is the mean shard fan-out — 0 for unsharded backends, where
-/// the critical path equals the total. The `pipe=` section decomposes the
-/// certification latency into queue/service/merge microseconds on the
-/// shard servers plus the inline delivery-loop `st`all (all means per
-/// certification), and `spec=` tallies confirmations as
-/// `hits/revalidated/rollbacks/misses` — all zero for synchronous runs
-/// except the stall, which is where the synchronous path pays the full
-/// conflict check. The trailing `span=` fraction is how much of the
-/// examined read/write-set entries were local to the certifying site's
-/// replicated span (1.00 under full replication) and `vote=` counts the
+/// `comparisons/probes/stall` — means per certification of the linear
+/// scan's merge comparisons, the index's probes, and the microseconds the
+/// data-dependent conflict check `st`alled the delivery loop. The `span=`
+/// fraction is how much of the examined read/write-set entries were local
+/// to the certifying site's replicated span (1.00 under full replication)
+/// and `vote=` counts the
 /// partial-replication vote rounds over the cross-span transactions that
 /// needed them. The `wire=` section is the decentralized vote traffic
 /// ledger: votes `s`ent, `r`eceived, `p`iggybacked on data frames, and
@@ -84,7 +79,7 @@ pub fn ecdf_lines(points: &[(f64, f64)]) -> String {
 /// span without a live replica.
 pub fn summary_line(label: &str, m: &RunMetrics) -> String {
     format!(
-        "{label}: tpm={:.0} latency={:.1}ms aborts={:.2}% cpu={:.0}%/{:.2}% disk={:.0}% net={:.0}KB/s cert={:.1}cmp/{:.1}probe/{:.1}crit sh={:.2} pipe=q{:.1}/s{:.1}/m{:.1}/st{:.1}us spec={}/{}/{}/{} ann={}x{:.1}+{}pb vc={} dup={}/{} span={:.2} vote={}/{} wire=s{}/r{}/p{}/x{} wait={:.1}ms rec={}/{}sn {}+{}KB replay={} ttu={:.0}ms repl={}/{}sp {}KB recast={} serve={:.0}ms park={:.0}ms",
+        "{label}: tpm={:.0} latency={:.1}ms aborts={:.2}% cpu={:.0}%/{:.2}% disk={:.0}% net={:.0}KB/s cert={:.1}cmp/{:.1}probe/st{:.1}us ann={}x{:.1}+{}pb vc={} dup={}/{} span={:.2} vote={}/{} wire=s{}/r{}/p{}/x{} wait={:.1}ms rec={}/{}sn {}+{}KB replay={} ttu={:.0}ms repl={}/{}sp {}KB recast={} serve={:.0}ms park={:.0}ms",
         m.tpm(),
         m.mean_latency_ms(),
         m.abort_rate(),
@@ -94,16 +89,7 @@ pub fn summary_line(label: &str, m: &RunMetrics) -> String {
         m.network_kbps(),
         m.cert_work.mean_comparisons(),
         m.cert_work.mean_probes(),
-        m.cert_work.mean_critical_probes(),
-        m.cert_work.mean_shards_touched(),
-        m.cert_work.mean_queue_us(),
-        m.cert_work.mean_service_us(),
-        m.cert_work.mean_merge_us(),
         m.cert_work.mean_stall_us(),
-        m.cert_work.spec_hits,
-        m.cert_work.spec_revalidated,
-        m.cert_work.spec_rollbacks,
-        m.cert_work.spec_misses,
         m.ann_work.announcements,
         m.ann_work.mean_batch(),
         m.ann_work.piggybacked,
@@ -177,31 +163,14 @@ mod tests {
 
     #[test]
     fn summary_line_reports_certification_critical_path() {
+        // `st` is the certification time paid on the delivery loop.
         let mut m = RunMetrics::new(1);
+        assert!(summary_line("x", &m).contains("cert=0.0cmp/0.0probe/st0.0us"));
         m.cert_work.certifications = 10;
         m.cert_work.probes = 120;
-        m.cert_work.critical_probes = 40;
-        m.cert_work.shard_touches = 25;
-        assert!(summary_line("x", &m).contains("cert=0.0cmp/12.0probe/4.0crit sh=2.50"));
-    }
-
-    #[test]
-    fn summary_line_reports_pipeline_decomposition() {
-        let mut m = RunMetrics::new(1);
-        m.cert_work.certifications = 10;
-        m.cert_work.queue_ns = 40_000;
-        m.cert_work.service_ns = 20_000;
-        m.cert_work.merge_ns = 5_000;
-        m.cert_work.stall_ns = 1_000;
-        m.cert_work.spec_hits = 8;
-        m.cert_work.spec_revalidated = 1;
-        m.cert_work.spec_misses = 1;
+        m.cert_work.stall_ns = 34_000;
         let line = summary_line("x", &m);
-        assert!(line.contains("pipe=q4.0/s2.0/m0.5/st0.1us"), "{line}");
-        assert!(line.contains("spec=8/1/0/1"), "{line}");
-        // Synchronous runs show an all-zero pipeline section.
-        let sync = summary_line("y", &RunMetrics::new(1));
-        assert!(sync.contains("pipe=q0.0/s0.0/m0.0/st0.0us spec=0/0/0/0"), "{sync}");
+        assert!(line.contains("cert=0.0cmp/12.0probe/st3.4us ann="), "{line}");
     }
 
     #[test]

@@ -537,14 +537,15 @@ impl FaultPlan {
 
     /// True if any spec is a [`FaultSpec::Partition`] — the experiment
     /// runner switches such runs to uniform (safe) delivery, because
-    /// optimistic delivery may speculate across a primary-component change.
+    /// optimistic delivery may act on orderings a primary-component change
+    /// re-makes.
     pub fn has_partition(&self) -> bool {
         self.specs.iter().any(|s| matches!(s, FaultSpec::Partition { .. }))
     }
 
     /// True if any spec is a [`FaultSpec::Restart`] — such runs also force
     /// uniform (safe) delivery, because a rejoin installs a view across
-    /// which optimistic delivery could speculate.
+    /// which optimistic delivery could act on a re-made ordering.
     pub fn has_restart(&self) -> bool {
         self.specs.iter().any(|s| matches!(s, FaultSpec::Restart { .. }))
     }

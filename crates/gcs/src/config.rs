@@ -143,12 +143,6 @@ pub struct GcsConfig {
     /// Deliver only stable (received-by-all) messages — uniform total order.
     /// Costs latency; off by default, as in the prototype.
     pub uniform_delivery: bool,
-    /// Also hand messages up *tentatively* the moment the reliable layer
-    /// completes them, before their global order is known
-    /// (`Upcall::Tentative`). Lets the application overlap order-independent
-    /// work (e.g. speculative certification) with the total-order broadcast;
-    /// off by default.
-    pub tentative_delivery: bool,
     /// CPU cost charged per protocol event handled (synthetic profiling).
     pub proc_cost: Duration,
     /// CSRT send/receive overhead parameters (used by the simulation bridge).
@@ -174,7 +168,6 @@ impl GcsConfig {
             rate_burst_bytes: 64 * 1024,
             ann_policy: AnnBatchPolicy::Immediate,
             uniform_delivery: false,
-            tentative_delivery: false,
             proc_cost: Duration::from_micros(2),
             overhead: OverheadModel::pentium3_1ghz(),
         }

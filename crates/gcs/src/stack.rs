@@ -55,23 +55,6 @@ pub enum Upcall {
         /// The application payload.
         payload: Bytes,
     },
-    /// A message whose content is reliably received but whose global order
-    /// is not yet known — emitted (when
-    /// [`GcsConfig::tentative_delivery`](crate::GcsConfig) is set) as soon
-    /// as the reliable layer completes the message, before the sequencer's
-    /// assignment arrives. The matching [`Upcall::Deliver`] always follows;
-    /// applications use the head start for work that is safe to perform out
-    /// of order, e.g. speculative certification overlapped with the
-    /// total-order broadcast.
-    Tentative {
-        /// Originating node.
-        origin: NodeId,
-        /// The origin's message sequence number (pairs this tentative
-        /// delivery with its later total-order delivery).
-        msg_seq: u64,
-        /// The application payload.
-        payload: Bytes,
-    },
     /// A new view was installed.
     ViewChange(View),
     /// This node was excluded from the view (e.g. falsely suspected under
@@ -141,9 +124,6 @@ pub struct GcsMetrics {
     /// Assignments piggybacked on outgoing application fragments instead of
     /// costing a `SeqAnn` message of their own (sequencer only).
     pub ann_piggybacked: u64,
-    /// Tentative (pre-total-order) deliveries handed up; 0 unless
-    /// `tentative_delivery` is configured.
-    pub tentative_delivered: u64,
     /// Certification votes transmitted (first time, standalone or
     /// piggybacked).
     pub votes_sent: u64,
@@ -1136,17 +1116,6 @@ impl Gcs {
         match kind {
             PayloadKind::App => {
                 let last_frag = msg_seq + self.frags_needed(payload.len()) - 1;
-                if self.cfg.tentative_delivery {
-                    // The content is final here — only its position in the
-                    // total order is still unknown. `Bytes` clones share the
-                    // buffer, so the head start costs no copy.
-                    self.metrics.tentative_delivered += 1;
-                    self.upcalls.push_back(Upcall::Tentative {
-                        origin,
-                        msg_seq,
-                        payload: payload.clone(),
-                    });
-                }
                 self.to.store.insert((origin.0, msg_seq), StoredMsg { payload, last_frag });
                 if self.i_am_sequencer()
                     && matches!(self.phase, Phase::Stable)
@@ -2443,50 +2412,6 @@ mod tests {
         assert!(ann_timer_armed(&g, &rt), "remaining batch keeps its timer");
     }
 
-    #[test]
-    fn tentative_delivery_precedes_total_order_when_configured() {
-        let mut rt = MockRt::default();
-        let mut cfg = fixed_cfg(3, Duration::ZERO); // zero window: announce at once
-        cfg.tentative_delivery = true;
-        let mut g = Gcs::new(NodeId(0), cfg);
-        g.on_start(&mut rt);
-        g.on_packet(&mut rt, app_fragment(NodeId(1), 1, b"txn"));
-        let ups = g.drain_upcalls();
-        let tent = ups.iter().position(|u| {
-            matches!(u, Upcall::Tentative { origin, msg_seq, payload }
-                if *origin == NodeId(1) && *msg_seq == 1 && payload.as_ref() == b"txn")
-        });
-        let deliv = ups.iter().position(|u| {
-            matches!(u, Upcall::Deliver { origin, payload, .. }
-                if *origin == NodeId(1) && payload.as_ref() == b"txn")
-        });
-        assert!(tent.is_some(), "tentative upcall emitted: {ups:?}");
-        assert!(deliv.is_some(), "total-order delivery still follows: {ups:?}");
-        assert!(tent < deliv, "the head start precedes the total order");
-        assert_eq!(g.metrics().tentative_delivered, 1);
-        assert_eq!(g.metrics().delivered, 1);
-    }
-
-    #[test]
-    fn tentative_delivery_covers_own_loopback_messages() {
-        // The origin's own messages complete through the send-path loopback
-        // rather than on_packet; they must get the same head start, since the
-        // origin site speculates on its own transactions too.
-        let mut rt = MockRt::default();
-        let mut cfg = fixed_cfg(2, Duration::ZERO);
-        cfg.tentative_delivery = true;
-        let mut g = Gcs::new(NodeId(0), cfg);
-        g.on_start(&mut rt);
-        g.broadcast(&mut rt, Bytes::from_static(b"mine"));
-        let ups = g.drain_upcalls();
-        assert!(
-            ups.iter()
-                .any(|u| matches!(u, Upcall::Tentative { origin, .. } if *origin == NodeId(0))),
-            "loopback message tentatively delivered: {ups:?}"
-        );
-        assert_eq!(g.metrics().tentative_delivered, 1);
-    }
-
     /// Decodes everything `rt` sent, newest-last.
     fn sent_msgs(rt: &MockRt) -> Vec<Message> {
         rt.sent.iter().filter_map(|raw| Envelope::decode(raw.clone()).ok()).map(|e| e.msg).collect()
@@ -2706,21 +2631,6 @@ mod tests {
         g.on_packet(&mut rt, req.encode());
         assert_eq!(g.view().members.len(), 3);
         assert_eq!(g.sequencer(), Some(NodeId(0)), "rejoiner does not reclaim mid-view");
-    }
-
-    #[test]
-    fn tentative_delivery_is_off_by_default() {
-        let mut rt = MockRt::default();
-        let mut g = Gcs::new(NodeId(0), fixed_cfg(3, Duration::ZERO));
-        g.on_start(&mut rt);
-        g.on_packet(&mut rt, app_fragment(NodeId(1), 1, b"txn"));
-        let ups = g.drain_upcalls();
-        assert!(
-            !ups.iter().any(|u| matches!(u, Upcall::Tentative { .. })),
-            "no tentative upcalls unless configured: {ups:?}"
-        );
-        assert_eq!(g.metrics().tentative_delivered, 0);
-        assert_eq!(g.metrics().delivered, 1, "normal delivery unaffected");
     }
 
     fn vote_upcalls(ups: &[Upcall]) -> Vec<(NodeId, WireVote)> {

@@ -150,8 +150,8 @@ pub fn warehouses_for_clients(clients: usize) -> u64 {
 /// and unknown tables.
 ///
 /// This is the locality axis of TPC-C — a transaction's accesses cluster
-/// around its terminal's warehouse — and therefore the natural partition
-/// key for sharded certification.
+/// around its terminal's warehouse — and therefore the natural span key
+/// for partial replication.
 ///
 /// # Examples
 ///
@@ -179,59 +179,12 @@ pub fn home_warehouse(id: TupleId) -> Option<u64> {
     }
 }
 
-/// The home-warehouse shard key for [`dbsm_cert::ShardedCertifier`]: the
-/// 0-based home warehouse, or `None` (spill shard) for tuples without one.
-/// Matches the `ShardKeyFn` signature, so it plugs straight into
-/// `ShardedCertifier::with_key`.
-///
-/// Sharding purely by warehouse maximizes *cross-request* independence
-/// (different terminals' transactions probe disjoint shards) but leaves
-/// each request serial — all its tuples share its home warehouse. See
-/// [`table_warehouse_shard_key`] for the key that also splits one request's
-/// work.
+/// The home-warehouse span key for partial replication: the 0-based home
+/// warehouse, or `None` (replicated everywhere) for tuples without one.
+/// Matches the `dbsm_cert::ShardKeyFn` signature, so it plugs straight
+/// into `SpanCertifier::with_span`.
 pub fn home_warehouse_shard_key(id: TupleId) -> Option<u64> {
     home_warehouse(id).map(|w| w - 1)
-}
-
-/// Row stripes per `(table, warehouse)` pair for the bulk tables: a single
-/// TPC-C request reads 5–15 stock rows (and order-status/delivery walk an
-/// order's lines), and without striping that whole run would serialize in
-/// one shard and bound the certification critical path no matter how many
-/// shards exist. Eight stripes cap the per-request run at ~2 rows per
-/// shard once the shard count catches up.
-pub const SHARD_STRIPES: u64 = 8;
-
-/// The `(table, warehouse)` shard key for [`dbsm_cert::ShardedCertifier`]:
-/// both identifiers folded through a SplitMix64 finalizer so the modulo-N
-/// shard assignment spreads along *both* axes — different warehouses land
-/// in different shards (cross-request parallelism) *and* one request's
-/// different tables land in different shards (intra-request parallelism,
-/// the thing the critical-path price rewards).
-///
-/// The bulk tables a single request probes in runs — stock, order-lines,
-/// and the shared item catalogue — are additionally striped by
-/// [`SHARD_STRIPES`] row blocks within their `(table, warehouse)` pair, so
-/// the run itself parallelizes. Item rows have no home warehouse but a
-/// perfectly partitionable identifier, so they key as warehouse 0 rather
-/// than spilling. Only tuples with no usable key at all — the append-only
-/// history table (written, never read) and unknown tables — spill.
-pub fn table_warehouse_shard_key(id: TupleId) -> Option<u64> {
-    let stripe =
-        |w: u64| mix64((w << 20) | (u64::from(id.table().0) << 4) | (id.row() % SHARD_STRIPES));
-    match id.table() {
-        ITEM if !id.is_table_level() => Some(stripe(0)),
-        STOCK | ORDER_LINE => home_warehouse(id).map(stripe),
-        _ => home_warehouse(id).map(|w| mix64((w << 20) | (u64::from(id.table().0) << 4))),
-    }
-}
-
-/// SplitMix64 finalizer: avalanches the structured (table, warehouse) pair
-/// so `key % shards` is uniform for any shard count, including powers of
-/// two that would otherwise see only the low (table) bits.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -322,53 +275,9 @@ mod tests {
         assert_eq!(home_warehouse(history_row(123)), None, "history is a global counter");
         assert_eq!(home_warehouse(TupleId::table_level(STOCK)), None, "wildcards have no home");
         assert_eq!(home_warehouse(TupleId::new(TableId(99), 1)), None, "unknown table");
-        // The 0-based key matches ShardedCertifier's ShardKeyFn contract.
+        // The 0-based key matches the ShardKeyFn span contract.
         assert_eq!(home_warehouse_shard_key(warehouse_row(1)), Some(0));
         assert_eq!(home_warehouse_shard_key(stock_row(8, 3)), Some(7));
         assert_eq!(home_warehouse_shard_key(item_row(1)), None);
-    }
-
-    #[test]
-    fn table_warehouse_key_separates_both_axes() {
-        // Same warehouse, different tables: distinct keys (intra-request
-        // spreading); same table, different warehouses: distinct keys
-        // (cross-request spreading); same (table, warehouse, stripe): one
-        // key.
-        assert_ne!(
-            table_warehouse_shard_key(warehouse_row(3)),
-            table_warehouse_shard_key(district_row(3, 1))
-        );
-        assert_ne!(
-            table_warehouse_shard_key(stock_row(3, 9)),
-            table_warehouse_shard_key(stock_row(4, 9))
-        );
-        // Rows 9 and 9 + 8·1000 share a stripe; 9 and 10 do not.
-        assert_eq!(
-            table_warehouse_shard_key(stock_row(3, 9)),
-            table_warehouse_shard_key(stock_row(3, 9 + SHARD_STRIPES * 1000))
-        );
-        assert_ne!(
-            table_warehouse_shard_key(stock_row(3, 9)),
-            table_warehouse_shard_key(stock_row(3, 10)),
-            "bulk tables stripe by row block"
-        );
-        // Unstriped tables key purely by (table, warehouse).
-        assert_eq!(
-            table_warehouse_shard_key(customer_row(3, 1, 1)),
-            table_warehouse_shard_key(customer_row(3, 9, 2999))
-        );
-        assert!(table_warehouse_shard_key(item_row(1)).is_some(), "items key by row stripe");
-        assert_eq!(table_warehouse_shard_key(history_row(9)), None, "history spills");
-        // A request's stock run spreads over the stripes.
-        let stripes: std::collections::BTreeSet<u64> = (1u64..=15)
-            .map(|i| table_warehouse_shard_key(stock_row(3, i)).expect("homed") % 8)
-            .collect();
-        assert!(stripes.len() >= 4, "15 stock rows spread over 8 shards: {stripes:?}");
-        // The mixed keys spread across a power-of-two shard count (raw
-        // shifted keys would collapse onto the low bits).
-        let shards: std::collections::BTreeSet<u64> = (1u64..=16)
-            .map(|w| table_warehouse_shard_key(district_row(w, 1)).expect("homed") % 8)
-            .collect();
-        assert!(shards.len() >= 4, "16 warehouses spread over 8 shards: {shards:?}");
     }
 }

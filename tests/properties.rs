@@ -3,8 +3,7 @@
 
 use bytes::Bytes;
 use dbsm_testbed::cert::{
-    marshal, unmarshal, CertRequest, Certifier, IndexedCertifier, RwSet, ShardKeyFn,
-    ShardedCertifier, SiteId, SpecResolution, TableId, TupleId,
+    marshal, unmarshal, CertRequest, Certifier, IndexedCertifier, RwSet, SiteId, TableId, TupleId,
 };
 use dbsm_testbed::gcs::{testkit::TestNet, AnnBatchPolicy, GcsConfig, NodeId, NodeSet};
 use dbsm_testbed::sim::stats::Samples;
@@ -274,145 +273,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_matches_linear_outcome_streams(
-        stream in prop::collection::vec(
-            (0u16..3, arb_rwset_with_wildcards(8), arb_rwset_with_wildcards(4), 0u64..6, 0u8..8),
-            1..96),
-        shards in 1usize..17,
-        key_kind in 0u8..4,
-    ) {
-        // The sharding tentpole's equivalence property: for EVERY shard
-        // count and EVERY key function — row-uniform, table-grouped,
-        // all-in-one-shard, all-spill — the sharded certifier's outcome
-        // stream is bit-identical to the linear scan's: same commit
-        // sequence numbers, same abort decisions, same conflict_seq on
-        // every abort, same HistoryTruncated rejections under interleaved
-        // gc, and the same read-only validation verdicts. The shard map may
-        // only move index entries around, never change a decision.
-        fn key_row(id: TupleId) -> Option<u64> { Some(id.row()) }
-        fn key_table(id: TupleId) -> Option<u64> { Some(u64::from(id.table().0)) }
-        fn key_const(_id: TupleId) -> Option<u64> { Some(7) }
-        fn key_none(_id: TupleId) -> Option<u64> { None }
-        let key: ShardKeyFn = match key_kind {
-            0 => key_row,
-            1 => key_table,
-            2 => key_const,
-            _ => key_none,
-        };
-        let mut linear = Certifier::new();
-        let mut sharded = ShardedCertifier::with_key(shards, key);
-        for (i, (site, reads, writes, back, gc_roll)) in stream.iter().enumerate() {
-            let start = linear.last_committed().saturating_sub(*back);
-            let req = CertRequest {
-                site: SiteId(*site), txn: i as u64, start_seq: start,
-                read_set: reads.clone(), write_set: writes.clone(), write_bytes: 0,
-            };
-            let ol = linear.certify(&req).map(|(o, _)| o);
-            let os = sharded.certify(&req).map(|(o, w)| {
-                // The work ledger's internal consistency rides along: the
-                // critical path can never exceed the total, and fan-out
-                // implies probes.
-                assert!(w.critical_probes <= w.probes, "critical > total at {i}");
-                assert!((w.shards_touched == 0) == (w.probes == 0), "fan-out/probe mismatch");
-                o
-            });
-            prop_assert_eq!(ol, os, "request {} diverged ({} shards, key {})",
-                i, shards, key_kind);
-            let (rl, _) = linear.certify_read_only(reads, start);
-            let (rs, _) = sharded.certify_read_only(reads, start);
-            prop_assert_eq!(rl, rs, "read-only validation {} diverged", i);
-            if *gc_roll == 0 {
-                let stable = linear.last_committed().saturating_sub(*back);
-                linear.gc(stable);
-                sharded.gc(stable);
-            }
-        }
-        prop_assert_eq!(linear.last_committed(), sharded.last_committed());
-        prop_assert_eq!(linear.history_len(), sharded.history_len());
-        prop_assert_eq!(linear.low_water(), sharded.low_water());
-    }
-
-    #[test]
-    fn pipelined_matches_synchronous_outcome_streams(
-        stream in prop::collection::vec(
-            (0u16..3, arb_rwset_with_wildcards(8), arb_rwset_with_wildcards(4), 0u64..6,
-             0u8..4, 0u8..8),
-            1..96),
-        shards in 1usize..13,
-    ) {
-        // The pipelining tentpole's equivalence property: a certifier fed
-        // speculative probes at arbitrary tentative-delivery interleavings
-        // (each request's `lead` lets tentative delivery run 0-3 requests
-        // ahead of the total order; lead 0 models a request whose tentative
-        // delivery never arrived) and then confirmed in total order emits
-        // an outcome stream bit-identical to a synchronous certifier of the
-        // same backend AND to the linear-scan oracle — same commit sequence
-        // numbers, same abort decisions, same conflict_seq on every abort,
-        // same HistoryTruncated rejections under interleaved gc, and the
-        // same final history. Reordering (speculation overtaken by
-        // conflicting commits) must surface as a rollback, never as a
-        // decision change.
-        fn mk(i: usize, item: &(u16, RwSet, RwSet, u64, u8, u8), last: u64) -> CertRequest {
-            let (site, reads, writes, back, _, _) = item;
-            CertRequest {
-                site: SiteId(*site), txn: i as u64, start_seq: last.saturating_sub(*back),
-                read_set: reads.clone(), write_set: writes.clone(), write_bytes: 0,
-            }
-        }
-        let mut linear = Certifier::new();
-        let mut sync = ShardedCertifier::new(shards);
-        let mut pipe = ShardedCertifier::new(shards);
-        let n = stream.len();
-        let mut reqs: Vec<Option<CertRequest>> = vec![None; n];
-        let mut speculated = vec![false; n];
-        for i in 0..n {
-            // Tentative delivery runs ahead: speculate requests i..i+lead
-            // before request i is confirmed in total order.
-            let lead = stream[i].4 as usize;
-            for j in i..(i + lead).min(n) {
-                if reqs[j].is_none() {
-                    reqs[j] = Some(mk(j, &stream[j], linear.last_committed()));
-                }
-                if !speculated[j] {
-                    let probe = pipe.speculate(reqs[j].as_ref().expect("just made"));
-                    prop_assert!(probe.work.critical_probes <= probe.work.probes);
-                    speculated[j] = true;
-                }
-            }
-            let req = reqs[i].take().unwrap_or_else(|| mk(i, &stream[i], linear.last_committed()));
-            let ol = linear.certify(&req).map(|(o, _)| o);
-            let os = sync.certify(&req).map(|(o, _)| o);
-            let mut resolution = None;
-            let op = pipe.confirm(&req).map(|(o, _, res)| { resolution = Some(res); o });
-            prop_assert_eq!(&ol, &os, "sync sharded diverged from linear at {}", i);
-            prop_assert_eq!(&ol, &op, "pipelined diverged from linear at {} (res {:?})",
-                i, resolution);
-            if let Some(res) = resolution {
-                // A speculation either survives to its confirm or its
-                // confirm reports truncation (speculate skips recording
-                // below the low-water mark, gc prunes strictly below it,
-                // and the mark never falls): a confirm that returned Ok
-                // resolves Miss exactly for the never-speculated requests.
-                prop_assert_eq!(res == SpecResolution::Miss, !speculated[i],
-                    "speculation bookkeeping diverged at {}", i);
-            }
-            let gc_roll = stream[i].5;
-            if gc_roll == 0 {
-                let stable = linear.last_committed().saturating_sub(stream[i].3);
-                linear.gc(stable);
-                sync.gc(stable);
-                pipe.gc(stable);
-            }
-        }
-        // Final logs agree: same commit counter, same retained history.
-        prop_assert_eq!(linear.last_committed(), pipe.last_committed());
-        prop_assert_eq!(sync.last_committed(), pipe.last_committed());
-        prop_assert_eq!(sync.history_len(), pipe.history_len());
-        prop_assert_eq!(sync.low_water(), pipe.low_water());
-        prop_assert_eq!(pipe.speculations(), 0, "all speculations consumed or pruned");
-    }
-
-    #[test]
     fn partial_matches_full_replication_outcome_streams(
         stream in prop::collection::vec(
             (0u16..5, arb_rwset_with_wildcards(8), arb_rwset_with_wildcards(4), 0u64..6, 0u8..8),
@@ -502,7 +362,7 @@ proptest! {
 
 proptest! {
     // Each case simulates a full GCS group under loss: 12 cases keeps the
-    // suite fast while still sweeping sites x factor x loss x commit path.
+    // suite fast while still sweeping sites x factor x loss.
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
@@ -513,21 +373,18 @@ proptest! {
         sites in 2usize..6,
         factor in 1usize..4,
         loss_pct in 0u8..21,
-        pipelined in any::<bool>(),
         seed in any::<u64>(),
     ) {
         // The decentralized-vote tentpole's equivalence property: for EVERY
-        // site count, replication factor, loss rate up to 20% and BOTH
-        // commit paths, the span votes each site multicasts over the real
+        // site count, replication factor and loss rate up to 20%, the span
+        // votes each site multicasts over the real
         // wire protocol ([`Gcs::cast_vote`]) arrive at every node exactly
         // once per voter — surviving loss through piggybacked resends — and
         // the covering quorum each node collects merges
         // (earliest-conflict rule) to a verdict bit-identical to the PR 7
         // cluster-level vote box AND to a full-replication
         // IndexedCertifier: same commit/abort decisions, same conflict_seq
-        // on every abort. The pipelined path pre-computes each vote from a
-        // speculative probe (`speculate` + `confirm_vote`); the synchronous
-        // path votes inline (`vote`); both must emit the same verdicts.
+        // on every abort.
         use dbsm_testbed::cert::{merge_votes, Outcome, SpanCertifier};
         use dbsm_testbed::core::PlacementMap;
         use dbsm_testbed::gcs::Upcall;
@@ -571,17 +428,8 @@ proptest! {
             };
             // No gc in this stream, so certification never truncates.
             let (of, _) = full.certify(&req).expect("window");
-            let votes: Vec<Option<u64>> = spans
-                .iter_mut()
-                .map(|s| {
-                    if pipelined {
-                        let _probe = s.speculate(&req);
-                        s.confirm_vote(&req).expect("window").0
-                    } else {
-                        s.vote(&req).expect("window").0
-                    }
-                })
-                .collect();
+            let votes: Vec<Option<u64>> =
+                spans.iter().map(|s| s.vote(&req).expect("window").0).collect();
             // PR 7 cluster-level vote box: merging all votes (a superset of
             // any covering set) must reproduce the full verdict.
             let merged = merge_votes(votes.iter().copied());
